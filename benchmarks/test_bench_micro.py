@@ -7,6 +7,8 @@ and rule-engine passes — the operations whose cost bounds how large a
 simulated cloud the harness can drive.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.core.manifest import parse_expression
@@ -15,6 +17,7 @@ from repro.monitoring import (
     DHTRing,
     DataSource,
     Measurement,
+    MulticastChannel,
     PacketEncoder,
     Probe,
     ProbeAttribute,
@@ -77,7 +80,8 @@ def test_codec_decode(benchmark):
 
 
 def test_codec_header_peek(benchmark):
-    """The routing-only decode the fabric performs per packet."""
+    """The routing-only header parse: qualified name and service id of a
+    wire packet without materialising a Measurement."""
     header = benchmark(peek_header, _PACKET)
     assert header.qualified_name == _MEASUREMENT.qualified_name
     assert header.service_id == _MEASUREMENT.service_id
@@ -143,9 +147,30 @@ def test_broker_fanout_reference_1k(benchmark):
     assert net.bytes_delivered > 0
 
 
+def test_multicast_fanout_site(benchmark):
+    """The fabric the scale path runs (``ServiceManager`` builds a
+    ``MulticastChannel`` per site): one site's 50 per-service rule-engine
+    subscriptions, 100 packets pre-encoded by each producer's
+    PacketEncoder, each matching exactly one subscription."""
+    env = Environment()
+    net = MulticastChannel(env)
+    delivered = deque(maxlen=100)  # the last round's deliveries
+    for i in range(50):
+        net.subscribe(delivered.append, service_id=f"svc-{i}")
+    traffic = []
+    for i in range(100):
+        m = Measurement("scale.app.sessions", f"svc-{(i * 7) % 50}",
+                        f"probe-{i % 50}", float(i), (i,), seqno=i)
+        encoder = PacketEncoder(m.qualified_name, m.service_id, m.probe_id)
+        traffic.append((m, encoder.encode(m)))
+    benchmark(_publish_all, net, traffic)
+    assert list(delivered) == [m for m, _ in traffic]
+    assert net.bytes_delivered == 50 * net.bytes_published
+
+
 def test_probe_emission_throughput(benchmark):
     """End-to-end producer hot path: collect → cached-prefix encode →
-    publish → indexed route → lazy decode → consumer callback, ×100."""
+    publish → indexed route → consumer callback (no decode), ×100."""
     env = Environment()
     net = PubSubBroker(env)
     net.subscribe(lambda m: None, service_id="svc-1",

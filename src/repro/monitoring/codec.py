@@ -17,19 +17,20 @@ measures it against a naive JSON encoding.
 
 Hot-path layout
 ---------------
-Encoding and decoding run once per packet per fabric hop, so both sides are
-table-driven: module-level :class:`struct.Struct` instances (compiled once),
-a tag → decoder dispatch dict, and a type → encoder dispatch dict. Two fast
-paths sit on top:
+Every published packet is encoded; in-process delivery hands consumers the
+publisher's :class:`Measurement` (the round trip is exact: every field comes
+back with the same value and type), so decoding is for readers of the wire
+bytes. Both sides are table-driven: module-level :class:`struct.Struct`
+instances (compiled once), a tag → decoder dispatch dict, and a type →
+encoder dispatch dict. Two fast paths sit on top:
 
 * :func:`peek_header` decodes only the routing fields (qualified name +
-  service id) so the distribution framework can route a packet without
-  materialising a :class:`Measurement`;
+  service id) without materialising a :class:`Measurement`;
 * :class:`PacketEncoder` caches a probe's encoded header prefix (magic,
   version, qualified name, service id, probe id — none of which change
-  between one probe's packets), so steady-state encode is prefix + seqno +
-  timestamp + values. Its output is byte-identical to
-  :func:`encode_measurement`.
+  between one probe's packets), so steady-state encode is prefix + one
+  struct pack of seqno, timestamp and value count + values. Its output is
+  byte-identical to :func:`encode_measurement`.
 
 Every malformed-input path raises :class:`CodecError` — never a bare
 ``struct.error``, ``IndexError`` or ``UnicodeDecodeError`` — so consumers
@@ -238,8 +239,8 @@ def peek_header(buf: bytes) -> PacketHeader:
     """Decode just enough of a packet to route it.
 
     Returns the qualified name and service id without touching the probe id,
-    seqno, timestamp or values — the distribution framework uses this to
-    decide whether anyone wants the packet before paying for a full decode.
+    seqno, timestamp or values, so a reader of wire packets can decide
+    whether it wants one before paying for a full decode.
     """
     # Fast path: well-formed packet with in-range string routing fields,
     # parsed inline without the per-value dispatch. Any irregularity falls
@@ -269,23 +270,43 @@ def peek_header(buf: bytes) -> PacketHeader:
     return PacketHeader(qname, service_id, offset)
 
 
+def _encode_tail(m: Measurement) -> list[bytes]:
+    """Seqno (hyper), timestamp (double), value count and tagged values —
+    the generic per-value dispatch every encoder can fall back to."""
+    parts = [
+        encode_value(m.seqno, AttributeType.LONG),
+        encode_value(m.timestamp, AttributeType.DOUBLE),
+        _U32.pack(len(m.values)),
+    ]
+    parts.extend(encode_value(v) for v in m.values)
+    return parts
+
+
 def encode_measurement(m: Measurement) -> bytes:
     """Encode a full measurement packet.
 
     Layout: magic, version, qualified name, service id, probe id, seqno
     (hyper), timestamp (double), value count (int), then tagged values.
     """
-    parts = [
+    return b"".join([
         _HEADER_PREFIX,
         encode_value(m.qualified_name),
         encode_value(m.service_id),
         encode_value(m.probe_id),
-        encode_value(m.seqno, AttributeType.LONG),
-        encode_value(m.timestamp, AttributeType.DOUBLE),
-        _U32.pack(len(m.values)),
-    ]
-    parts.extend(encode_value(v) for v in m.values)
-    return b"".join(parts)
+        *_encode_tail(m),
+    ])
+
+
+_INT_TAG = _TAGS[AttributeType.INTEGER]
+_LONG_TAG = _TAGS[AttributeType.LONG]
+_DOUBLE_TAG = _TAGS[AttributeType.DOUBLE]
+_I32_MAX = 2**31 - 1
+_I64_MIN, _I64_MAX = -2**63, 2**63 - 1
+
+#: LONG tag + seqno, DOUBLE tag + timestamp, value count — one pack call
+_TAIL = struct.Struct(">BqBdI")
+_TAGGED_I32 = struct.Struct(">Bi")
+_TAGGED_F64 = struct.Struct(">Bd")
 
 
 class PacketEncoder:
@@ -294,8 +315,11 @@ class PacketEncoder:
     A probe's qualified name, service id and probe id never change between
     its packets, so the tag-prefixed XDR encoding of those three strings
     (plus magic and version) is computed once here; each :meth:`encode` call
-    then appends only the per-packet fields. Output is byte-identical to
-    :func:`encode_measurement`, which tests assert.
+    then appends only the per-packet fields. Plain ``int`` seqnos, ``float``
+    timestamps and ``int``/``float`` values are packed with precompiled
+    structs; anything else (``bool``, strings, subclasses, out-of-range
+    ints) takes the generic :func:`encode_value` path. Output is
+    byte-identical to :func:`encode_measurement`, which tests assert.
     """
 
     __slots__ = ("qualified_name", "service_id", "probe_id", "_prefix")
@@ -320,65 +344,31 @@ class PacketEncoder:
                 f" does not match encoder identity "
                 f"{(self.qualified_name, self.service_id, self.probe_id)!r}"
             )
-        parts = [
-            self._prefix,
-            encode_value(m.seqno, AttributeType.LONG),
-            encode_value(m.timestamp, AttributeType.DOUBLE),
-            _U32.pack(len(m.values)),
-        ]
-        parts.extend(encode_value(v) for v in m.values)
+        seqno, timestamp, values = m.seqno, m.timestamp, m.values
+        if (type(seqno) is not int or type(timestamp) is not float
+                or not _I64_MIN <= seqno <= _I64_MAX):
+            return b"".join([self._prefix, *_encode_tail(m)])
+        parts = [self._prefix, _TAIL.pack(_LONG_TAG, seqno, _DOUBLE_TAG,
+                                          timestamp, len(values))]
+        for v in values:
+            t = type(v)
+            if t is float:
+                parts.append(_TAGGED_F64.pack(_DOUBLE_TAG, v))
+            elif t is int and -_I32_MAX <= v <= _I32_MAX:
+                parts.append(_TAGGED_I32.pack(_INT_TAG, v))
+            else:
+                parts.append(encode_value(v))
         return b"".join(parts)
 
 
-_LONG_TAG = _TAGS[AttributeType.LONG]
-_DOUBLE_TAG = _TAGS[AttributeType.DOUBLE]
-
-
-def _decode_tail_fast(buf: bytes, offset: int):
-    """Inline parse of the canonical packet tail (string probe id, hyper
-    seqno, double timestamp) — the layout :func:`encode_measurement` always
-    produces. Returns ``None`` on any other layout or irregularity so the
-    caller can fall back to the strict per-value dispatch."""
-    try:
-        if buf[offset] != _STR_TAG:
-            return None
-        (length,) = _U32.unpack_from(buf, offset + 1)
-        start = offset + 5
-        end = start + length
-        offset = end + (-length % 4)
-        # 18 = two tag bytes + 8-byte hyper + 8-byte double
-        if (offset + 18 > len(buf) or buf[offset] != _LONG_TAG
-                or buf[offset + 9] != _DOUBLE_TAG):
-            return None
-        probe_id = buf[start:end].decode("utf-8")
-        (seqno,) = _I64.unpack_from(buf, offset + 1)
-        (timestamp,) = _F64.unpack_from(buf, offset + 10)
-        return probe_id, seqno, timestamp, offset + 18
-    except (struct.error, UnicodeDecodeError, IndexError):
-        return None
-
-
-def decode_measurement(buf: bytes, *,
-                       header: PacketHeader | None = None) -> Measurement:
-    """Decode a packet produced by :func:`encode_measurement`.
-
-    A caller that already routed the packet via :func:`peek_header` can pass
-    that header back to resume the decode at ``body_offset`` instead of
-    re-parsing the preamble and routing strings.
-    """
-    if header is None:
-        _check_preamble(buf)
-        qname, offset = decode_value(buf, 8)
-        service_id, offset = decode_value(buf, offset)
-    else:
-        qname, service_id, offset = header
-    tail = _decode_tail_fast(buf, offset)
-    if tail is not None:
-        probe_id, seqno, timestamp, offset = tail
-    else:
-        probe_id, offset = decode_value(buf, offset)
-        seqno, offset = decode_value(buf, offset)
-        timestamp, offset = decode_value(buf, offset)
+def decode_measurement(buf: bytes) -> Measurement:
+    """Decode a packet produced by :func:`encode_measurement`."""
+    _check_preamble(buf)
+    qname, offset = decode_value(buf, 8)
+    service_id, offset = decode_value(buf, offset)
+    probe_id, offset = decode_value(buf, offset)
+    seqno, offset = decode_value(buf, offset)
+    timestamp, offset = decode_value(buf, offset)
     try:
         (count,) = _U32.unpack_from(buf, offset)
     except struct.error as exc:

@@ -13,32 +13,41 @@ change the distribution framework without changing all the producers and
 consumers" — hence the abstract :class:`DistributionFramework` with two
 interchangeable implementations:
 
-* :class:`MulticastChannel` — every subscriber sees every packet (IP
-  multicast style); filtering happens at the consumer.
+* :class:`MulticastChannel` — every subscriber's host receives every packet
+  (IP multicast style); the subscription filters decide which consumers
+  see it.
 * :class:`PubSubBroker` — topic-based routing on (service id, qualified
   name); the network only delivers packets a consumer asked for.
 
-Both carry *encoded* packets (bytes) to keep producers honest about the wire
-format, and both account delivered volume so experiments can compare network
-utilisation.
+Both encode every measurement to its wire packet (bytes) to keep producers
+honest about the wire format, and both account delivered volume so
+experiments can compare network utilisation.
 
 Data-plane fast path
 --------------------
 The fabric is the firehose feeding every elasticity decision, so the hot
 path is engineered:
 
-* **Lazy decode** — delivery first peeks only the routing fields of a packet
-  (:func:`repro.monitoring.codec.peek_header`); a full
-  :class:`~repro.monitoring.measurements.Measurement` is materialised at
-  most once per packet, shared by all matched consumers, and never for
-  packets nobody wants (``packets_decoded`` counts the full decodes).
-* **Indexed routing** — :class:`PubSubBroker` keys exact subscriptions in a
-  dict on the canonical :func:`topic_for` string, compiles glob
-  subscriptions once (``fnmatch.translate`` → ``re.compile``), and fronts
-  both with a route cache keyed on the decoded header. The cache is
-  invalidated whenever the subscription set changes. The seed's linear scan
-  survives as ``PubSubBroker(env, reference=True)`` — the differential-test
-  oracle.
+* **One routing index** — routing is decided at subscribe time, not per
+  packet. :class:`DistributionFramework` buckets each subscription once:
+  exact (service id + literal name, keyed on :func:`topic_for`), by
+  qualified name, by service id, glob (compiled once, ``fnmatch.translate``
+  → ``re.compile``) and catch-all. A route cache keyed on (service id,
+  qualified name) makes the steady state one dict lookup per packet; any
+  subscribe or unsubscribe clears it. Both fabrics route through this
+  index and differ only in byte accounting: multicast counts every member,
+  the broker counts the matched route. The seed's linear scan survives as
+  ``PubSubBroker(env, reference=True)`` — the differential-test oracle.
+* **No in-process decode** — the publisher already holds the frozen
+  :class:`~repro.monitoring.measurements.Measurement` its packet encodes,
+  and the codec round-trips every field exactly (same value, same type), so
+  consumers receive that object; the packet only sizes the byte accounting.
+  The reference broker still decodes the wire bytes of every packet, so the
+  differential tests check codec fidelity (``packets_decoded`` counts real
+  decodes and stays 0 on the indexed path).
+* **Snapshot delivery** — the route is fixed when a packet's delivery
+  starts: a consumer that subscribes or cancels from inside a callback
+  changes who sees the *next* packet, never the one in flight.
 * **Coalesced delayed delivery** — packets published into a latency edge are
   queued per due-time and drained by one long-lived process, so N packets
   sharing an edge cost one kernel event (``delivery_events``), not N.
@@ -60,7 +69,7 @@ from collections import deque
 from typing import Callable, Optional, Sequence
 
 from ..sim import Environment
-from .codec import decode_measurement, encode_measurement, peek_header
+from .codec import decode_measurement, encode_measurement
 from .measurements import Measurement
 
 __all__ = [
@@ -71,7 +80,7 @@ __all__ = [
     "topic_for",
 ]
 
-#: A consumer callback receives the decoded measurement.
+#: A consumer callback receives the published measurement.
 ConsumerCallback = Callable[[Measurement], None]
 
 #: characters that make a qualified-name filter a glob pattern
@@ -84,9 +93,9 @@ _fabric_ids = itertools.count(1)
 def topic_for(service_id: str, qualified_name: str) -> str:
     """Canonical topic string for pub/sub routing.
 
-    This is the key of :class:`PubSubBroker`'s exact-match index: a
+    This is the key of the routing index's exact-match bucket: a
     subscription that pins both the service id and a non-glob qualified name
-    is stored (and looked up per packet) under this string.
+    is stored under this string.
     """
     return f"{service_id}/{qualified_name}"
 
@@ -146,7 +155,11 @@ class Subscription:
 
 
 class DistributionFramework(abc.ABC):
-    """Producer/consumer fabric for measurement packets."""
+    """Producer/consumer fabric for measurement packets.
+
+    Owns the routing index every implementation delivers through;
+    subclasses only say how many receivers a packet's bytes reach.
+    """
 
     def __init__(self, env: Environment, *, latency_s: float = 0.0):
         if latency_s < 0:
@@ -158,16 +171,35 @@ class DistributionFramework(abc.ABC):
         #: injected volume accounting (bytes sent by producers)
         self.bytes_published = 0
         self.packets_published = 0
-        #: full Measurement decodes performed (lazy-decode observability:
-        #: unmatched packets never increment this)
+        #: wire packets decoded back into a Measurement (the reference
+        #: broker's path; in-process delivery never decodes)
         self.packets_decoded = 0
         #: kernel wakeups spent draining delayed deliveries; with batching,
         #: N same-instant packets share one
         self.delivery_events = 0
-        self._subs: list[Subscription] = []
+        #: live subscriptions in registration order (dict: O(1) removal)
+        self._subs: dict[Subscription, None] = {}
         self._sub_seq = itertools.count().__next__
-        #: FIFO of (due time, [packets]) batches awaiting the latency edge
-        self._pending: deque[tuple[float, list[bytes]]] = deque()
+        # -- the routing index, maintained at subscribe/unsubscribe time --
+        #: service id + exact qualified name, keyed on :func:`topic_for`
+        self._exact: dict[str, list[Subscription]] = {}
+        #: exact qualified name, any service
+        self._by_qname: dict[str, list[Subscription]] = {}
+        #: service id only, any qualified name
+        self._by_service: dict[str, list[Subscription]] = {}
+        #: glob qualified names (optionally service-pinned), compiled
+        self._globs: list[Subscription] = []
+        #: no filters at all
+        self._catch_all: list[Subscription] = []
+        #: (service id, qualified name) -> matched subscriptions, in
+        #: registration order; cleared on any subscribe/unsubscribe
+        self._route_cache: dict[tuple[str, str], tuple[Subscription, ...]] = {}
+        self.route_cache_hits = 0
+        self.route_cache_misses = 0
+        #: FIFO of (due time, [(measurement, packet)]) batches awaiting the
+        #: latency edge
+        self._pending: deque[tuple[float,
+                                   list[tuple[Measurement, bytes]]]] = deque()
         self._drain = None
         # The counters above stay plain ints (the delivery loop is the
         # hottest path in the system); the unified registry sees them
@@ -197,9 +229,9 @@ class DistributionFramework(abc.ABC):
         self.bytes_published += len(packet)
         self.packets_published += 1
         if self.latency_s == 0.0:
-            self._deliver(packet)
+            self._deliver(measurement, packet)
         else:
-            self._enqueue(packet)
+            self._enqueue(measurement, packet)
 
     def publish_many(self, measurements: Sequence[Measurement], *,
                      packets: Optional[Sequence[bytes]] = None) -> None:
@@ -214,15 +246,15 @@ class DistributionFramework(abc.ABC):
             for m, p in zip(measurements, packets):
                 self.publish(m, packet=p)
 
-    def _enqueue(self, packet: bytes) -> None:
+    def _enqueue(self, measurement: Measurement, packet: bytes) -> None:
         due = self.env.now + self.latency_s
         pending = self._pending
         # latency_s is fixed, so due times arrive non-decreasing: same-instant
         # publishes land in the tail batch and share its wakeup.
         if pending and pending[-1][0] == due:
-            pending[-1][1].append(packet)
+            pending[-1][1].append((measurement, packet))
         else:
-            pending.append((due, [packet]))
+            pending.append((due, [(measurement, packet)]))
         if self._drain is None or not self._drain.is_alive:
             self._drain = self.env.process(self._drain_loop(),
                                            name="mon-delivery")
@@ -234,8 +266,8 @@ class DistributionFramework(abc.ABC):
             if due > self.env.now:
                 self.delivery_events += 1
                 yield self.env.timeout(due - self.env.now)
-            for packet in pending.popleft()[1]:
-                self._deliver(packet)
+            for measurement, packet in pending.popleft()[1]:
+                self._deliver(measurement, packet)
 
     # -- subscribing ---------------------------------------------------------
     def subscribe(self, callback: ConsumerCallback, *,
@@ -248,8 +280,9 @@ class DistributionFramework(abc.ABC):
         """
         sub = Subscription(self, callback, service_id, qualified_name,
                            self._sub_seq())
-        self._subs.append(sub)
-        self._on_subscribed(sub)
+        self._subs[sub] = None
+        self._bucket(sub).append(sub)
+        self._route_cache.clear()
         return sub
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -259,90 +292,15 @@ class DistributionFramework(abc.ABC):
         if not subscription.active:
             return
         subscription.active = False
-        self._subs.remove(subscription)
-        self._on_unsubscribed(subscription)
+        del self._subs[subscription]
+        self._bucket(subscription).remove(subscription)
+        self._route_cache.clear()
 
     @property
     def subscription_count(self) -> int:
         return len(self._subs)
 
-    def _on_subscribed(self, subscription: Subscription) -> None:
-        """Hook for implementations to maintain routing state."""
-
-    def _on_unsubscribed(self, subscription: Subscription) -> None:
-        """Hook for implementations to maintain routing state."""
-
-    @abc.abstractmethod
-    def _deliver(self, packet: bytes) -> None:
-        """Route an encoded packet to the appropriate consumers."""
-
-
-class MulticastChannel(DistributionFramework):
-    """IP-multicast-style delivery: one packet, every subscriber sees it.
-
-    Subscription filters are applied *at the consumer* after decode, as a
-    host's kernel would after joining the multicast group — the whole packet
-    still traverses the network to every member, which the byte accounting
-    reflects. The decode itself is lazy: the header peek answers the filter
-    question, and the packet body is only materialised (once) if at least
-    one member's filter matches.
-    """
-
-    def _deliver(self, packet: bytes) -> None:
-        header = peek_header(packet)
-        service_id = header.service_id
-        qualified_name = header.qualified_name
-        size = len(packet)
-        measurement = None
-        for sub in self._subs:
-            self.bytes_delivered += size  # every member receives it
-            if sub.matches(service_id, qualified_name):
-                if measurement is None:
-                    measurement = decode_measurement(packet, header=header)
-                    self.packets_decoded += 1
-                sub.callback(measurement)
-
-
-class PubSubBroker(DistributionFramework):
-    """Topic-routed delivery: only matching subscribers receive the packet.
-
-    The default routing mode is indexed: exact subscriptions live in dicts
-    keyed on :func:`topic_for` / qualified name / service id, globs are
-    compiled once, and a per-header route cache makes the steady state a
-    single dict lookup. ``reference=True`` keeps the seed's O(subscriptions)
-    linear scan with per-packet ``fnmatch`` — functionally identical (the
-    differential tests assert it) and used as the benchmark baseline.
-    """
-
-    def __init__(self, env: Environment, *, latency_s: float = 0.0,
-                 reference: bool = False):
-        super().__init__(env, latency_s=latency_s)
-        self.reference = reference
-        #: subscriptions pinning service id + exact qualified name,
-        #: keyed on the canonical topic string
-        self._exact: dict[str, list[Subscription]] = {}
-        #: exact qualified name, any service
-        self._by_qname: dict[str, list[Subscription]] = {}
-        #: service id only, any qualified name
-        self._by_service: dict[str, list[Subscription]] = {}
-        #: glob qualified names (optionally service-pinned), compiled
-        self._globs: list[Subscription] = []
-        #: no filters at all
-        self._catch_all: list[Subscription] = []
-        #: (service id, qualified name) -> matched subscriptions, in
-        #: registration order; cleared on any subscribe/unsubscribe
-        self._route_cache: dict[tuple[str, str], tuple[Subscription, ...]] = {}
-        self.route_cache_hits = 0
-        self.route_cache_misses = 0
-        metrics = env.metrics
-        metrics.register_view(
-            "monitoring.broker.route_cache_hits",
-            lambda: self.route_cache_hits, fabric=self._fabric_label)
-        metrics.register_view(
-            "monitoring.broker.route_cache_misses",
-            lambda: self.route_cache_misses, fabric=self._fabric_label)
-
-    # -- index maintenance ---------------------------------------------------
+    # -- routing -------------------------------------------------------------
     def _bucket(self, sub: Subscription) -> list[Subscription]:
         if sub.is_glob:
             return self._globs
@@ -355,17 +313,6 @@ class PubSubBroker(DistributionFramework):
         return self._exact.setdefault(
             topic_for(sub.service_id, sub.qualified_name), [])
 
-    def _on_subscribed(self, sub: Subscription) -> None:
-        if not self.reference:
-            self._bucket(sub).append(sub)
-        self._route_cache.clear()
-
-    def _on_unsubscribed(self, sub: Subscription) -> None:
-        if not self.reference:
-            self._bucket(sub).remove(sub)
-        self._route_cache.clear()
-
-    # -- routing -------------------------------------------------------------
     def _route(self, service_id: str,
                qualified_name: str) -> tuple[Subscription, ...]:
         key = (service_id, qualified_name)
@@ -389,34 +336,75 @@ class PubSubBroker(DistributionFramework):
         self._route_cache[key] = route
         return route
 
-    def _deliver(self, packet: bytes) -> None:
-        if self.reference:
-            self._deliver_reference(packet)
-            return
-        header = peek_header(packet)
-        route = self._route(header.service_id, header.qualified_name)
-        if not route:
-            return  # nobody asked: the packet is never fully decoded
-        measurement = decode_measurement(packet, header=header)
-        self.packets_decoded += 1
-        size = len(packet)
+    def _deliver(self, measurement: Measurement, packet: bytes) -> None:
+        """Hand the publisher's measurement to every matched consumer."""
+        route = self._route(measurement.service_id,
+                            measurement.qualified_name)
+        self.bytes_delivered += len(packet) * self._receivers(route)
         for sub in route:
-            self.bytes_delivered += size  # only matched deliveries
             sub.callback(measurement)
 
-    def _deliver_reference(self, packet: bytes) -> None:
+    @abc.abstractmethod
+    def _receivers(self, route: tuple[Subscription, ...]) -> int:
+        """How many subscribers a packet with this route reaches on the
+        wire — the fabrics differ only here."""
+
+
+class MulticastChannel(DistributionFramework):
+    """IP-multicast-style delivery: one packet, every subscriber sees it.
+
+    The whole packet traverses the network to every group member, as a
+    host's kernel receives it after joining the multicast group, and the
+    byte accounting reflects that. Which consumers the packet then reaches
+    is decided by the shared routing index — the same filters a member
+    would apply on arrival.
+    """
+
+    def _receivers(self, route: tuple[Subscription, ...]) -> int:
+        return len(self._subs)  # every member receives it
+
+
+class PubSubBroker(DistributionFramework):
+    """Topic-routed delivery: only matching subscribers receive the packet.
+
+    Routes through the shared index. ``reference=True`` keeps the seed's
+    O(subscriptions) linear scan with per-packet ``fnmatch`` over a full
+    decode of the wire bytes — functionally identical (the differential
+    tests assert it) and used as the benchmark baseline.
+    """
+
+    def __init__(self, env: Environment, *, latency_s: float = 0.0,
+                 reference: bool = False):
+        super().__init__(env, latency_s=latency_s)
+        self.reference = reference
+        metrics = env.metrics
+        metrics.register_view(
+            "monitoring.broker.route_cache_hits",
+            lambda: self.route_cache_hits, fabric=self._fabric_label)
+        metrics.register_view(
+            "monitoring.broker.route_cache_misses",
+            lambda: self.route_cache_misses, fabric=self._fabric_label)
+
+    def _receivers(self, route: tuple[Subscription, ...]) -> int:
+        return len(route)  # only matched deliveries
+
+    def _deliver(self, measurement: Measurement, packet: bytes) -> None:
+        if not self.reference:
+            super()._deliver(measurement, packet)
+            return
         # The seed's routing path, preserved as the differential oracle:
-        # unconditional full decode, then a linear scan with per-packet
-        # fnmatch on every glob.
-        measurement = decode_measurement(packet)
+        # unconditional full decode of the wire bytes, then a linear scan
+        # (over the subscriptions live when delivery starts) with
+        # per-packet fnmatch on every glob.
+        decoded = decode_measurement(packet)
         self.packets_decoded += 1
         size = len(packet)
-        for sub in self._subs:
+        for sub in tuple(self._subs):
             if (sub.service_id is not None
-                    and measurement.service_id != sub.service_id):
+                    and decoded.service_id != sub.service_id):
                 continue
             if (sub.qualified_name is not None and not fnmatch.fnmatchcase(
-                    measurement.qualified_name, sub.qualified_name)):
+                    decoded.qualified_name, sub.qualified_name)):
                 continue
             self.bytes_delivered += size
-            sub.callback(measurement)
+            sub.callback(decoded)

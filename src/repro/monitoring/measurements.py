@@ -35,6 +35,10 @@ _QNAME_RE = re.compile(r"^[A-Za-z0-9_\-]+(\.[A-Za-z0-9_\-]+)+$")
 
 QualifiedName = str
 
+#: names that have passed :data:`_QNAME_RE` — the KPI names probes and
+#: manifests declare, a handful per federation
+_VALID_NAMES: set[str] = set()
+
 
 def validate_qualified_name(name: str) -> str:
     """Validate and return a KPI qualified name.
@@ -44,6 +48,8 @@ def validate_qualified_name(name: str) -> str:
     """
     if not isinstance(name, str) or not _QNAME_RE.match(name):
         raise ValueError(f"malformed qualified name {name!r}")
+    if type(name) is str:
+        _VALID_NAMES.add(name)
     return name
 
 
@@ -159,7 +165,10 @@ class Measurement:
     seqno: int = 0
 
     def __post_init__(self) -> None:
-        validate_qualified_name(self.qualified_name)
+        # Each name runs the regex once; probes validated theirs already.
+        name = self.qualified_name
+        if type(name) is not str or name not in _VALID_NAMES:
+            validate_qualified_name(name)
         if not self.service_id:
             raise ValueError("service_id must be non-empty")
         if not self.probe_id:

@@ -170,6 +170,9 @@ class TraceLog:
                                                        None]]]] = {}
         #: All spans opened through this log, by id (insertion-ordered).
         self.spans: dict[int, Span] = {}
+        #: parent id -> child spans in creation order (the parent may live
+        #: in another log; ``None`` keys the roots)
+        self._children: dict[Optional[int], list[Span]] = {}
         # Lazy per-(source, kind) indices over ``records``; ``_idx_pos`` is
         # the number of records already folded in. emit() never touches
         # these — the first query after a burst of writes catches them up.
@@ -337,6 +340,11 @@ class TraceLog:
         sp = Span(next_span_id(), parent_id, source, kind, self.env.now,
                   details=details)
         self.spans[sp.span_id] = sp
+        children = self._children.get(parent_id)
+        if children is None:
+            self._children[parent_id] = [sp]
+        else:
+            children.append(sp)
         return sp
 
     def close_span(self, span: Span, status: str = "ok",
@@ -402,7 +410,7 @@ class TraceLog:
 
     def children(self, span: Union[Span, int]) -> list[Span]:
         parent_id = span.span_id if isinstance(span, Span) else span
-        return [s for s in self.spans.values() if s.parent_id == parent_id]
+        return list(self._children.get(parent_id, _EMPTY))
 
     def ancestors(self, span: Union[Span, int]) -> list[Span]:
         """Parent chain, nearest first. Stops at a root or at a parent id

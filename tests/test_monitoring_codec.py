@@ -1,6 +1,6 @@
 """Tests for measurements, qualified names and the XDR codec."""
 
-import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +43,17 @@ def test_valid_qualified_names(name):
 def test_invalid_qualified_names(name):
     with pytest.raises((ValueError, TypeError)):
         validate_qualified_name(name)
+
+
+@pytest.mark.parametrize("name", ["single", "two..dots", "", None, 42,
+                                  b"a.b"])
+def test_measurement_rejects_bad_names_after_valid_ones(name):
+    """Names that passed once skip the regex; every other name, including
+    non-str input, still raises the same ValueError."""
+    make_measurement(qualified_name="uk.ucl.a.b")
+    make_measurement(qualified_name="uk.ucl.a.b")
+    with pytest.raises(ValueError, match="malformed qualified name"):
+        make_measurement(qualified_name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -198,33 +209,55 @@ def test_measurement_truncated():
         decode_measurement(buf[: len(buf) - 2])
 
 
+def _same_field(decoded, original):
+    """Equal value *and* equal type — ``True`` must not come back as ``1``,
+    and NaN compares by its bits."""
+    if type(decoded) is not type(original):
+        return False
+    if isinstance(original, float):
+        return struct.pack(">d", decoded) == struct.pack(">d", original)
+    return decoded == original
+
+
+_WIRE_INTS = st.integers(min_value=-(2**63 - 1), max_value=2**63 - 1)
+
+
 @given(
     values=st.lists(
         st.one_of(
-            st.integers(min_value=-(2**62), max_value=2**62),
-            st.floats(allow_nan=False, allow_infinity=True, width=64),
+            _WIRE_INTS,
+            st.floats(allow_nan=True, allow_infinity=True, width=64),
             st.booleans(),
             st.text(max_size=50),
         ),
         max_size=8,
     ),
-    seqno=st.integers(min_value=0, max_value=2**31),
-    timestamp=st.floats(min_value=0, max_value=1e12),
+    seqno=_WIRE_INTS,
+    timestamp=st.floats(allow_nan=True, allow_infinity=True, width=64),
 )
 @settings(max_examples=200)
 def test_measurement_round_trip_property(values, seqno, timestamp):
+    """Every decoded field equals its input and has the same type — the
+    property that lets in-process delivery skip the decode."""
     m = make_measurement(values=tuple(values), seqno=seqno,
                          timestamp=timestamp)
     out = decode_measurement(encode_measurement(m))
-    assert out.qualified_name == m.qualified_name
-    assert out.seqno == m.seqno
-    assert out.timestamp == m.timestamp
+    for field in ("qualified_name", "service_id", "probe_id", "seqno",
+                  "timestamp"):
+        assert _same_field(getattr(out, field), getattr(m, field)), field
+    assert type(out.timestamp) is float
+    assert type(out.values) is tuple
     assert len(out.values) == len(m.values)
     for a, b in zip(out.values, m.values):
-        if isinstance(b, float) and math.isnan(b):
-            assert math.isnan(a)
-        else:
-            assert a == b
+        assert _same_field(a, b), (a, b)
+
+
+def test_round_trip_keeps_bool_and_int_boundaries():
+    values = (True, False, 1, 0, 2**31 - 1, -(2**31 - 1), 2**31, -(2**31),
+              2**63 - 1, -(2**63 - 1), -0.0, float("nan"))
+    out = decode_measurement(encode_measurement(make_measurement(
+        values=values)))
+    assert all(_same_field(a, b) for a, b in zip(out.values, values))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +334,53 @@ def test_packet_encoder_byte_identical_property(values, seqno, timestamp):
                          timestamp=timestamp)
     enc = PacketEncoder(m.qualified_name, m.service_id, m.probe_id)
     assert enc.encode(m) == encode_measurement(m)
+
+
+class _Int(int):
+    """An int subclass: must take the generic encode path."""
+
+
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([2**31 - 1, 2**31, -(2**31 - 1), -(2**31), 2**63 - 1,
+                     2**63, -(2**63), -(2**63) - 1, True, False, -0.0,
+                     float("nan"), float("inf"), _Int(5), _Int(2**40),
+                     "\U0001d11e\U0001f4a1", ""]),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.floats(width=64),
+    st.text(max_size=12),
+)
+
+
+def _outcome(encode, m):
+    """Packet bytes, or the exception type the encoder raised."""
+    try:
+        return encode(m)
+    except Exception as exc:  # the exception type is the result
+        return type(exc)
+
+
+@given(
+    values=st.lists(_EDGE_VALUES, max_size=6),
+    seqno=st.one_of(st.sampled_from([0, 2**63 - 1, 2**63, -(2**63), True,
+                                     _Int(3)]),
+                    st.integers(min_value=-(2**64), max_value=2**64)),
+    timestamp=st.one_of(st.floats(width=64),
+                        st.sampled_from([-0.0, float("nan"), 0, 7, True])),
+)
+@settings(max_examples=300)
+def test_packet_encoder_fast_path_matches_generic_encoder(values, seqno,
+                                                          timestamp):
+    """The struct fast path is byte-identical to ``encode_measurement`` at
+    the XDR int boundaries, for bool, int subclasses, -0.0, NaN and non-BMP
+    strings, and raises the same error (CodecError for values that do not
+    fit) wherever the generic encoder does."""
+    m = make_measurement(values=tuple(values), seqno=seqno,
+                         timestamp=timestamp)
+    enc = PacketEncoder(m.qualified_name, m.service_id, m.probe_id)
+    expected = _outcome(encode_measurement, m)
+    assert _outcome(enc.encode, m) == expected
+    if any(type(v) is int and not -(2**63) <= v < 2**63 for v in values):
+        assert expected is CodecError
 
 
 # ---------------------------------------------------------------------------

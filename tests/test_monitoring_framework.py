@@ -310,7 +310,7 @@ def test_relay_stop_releases_subscription():
 
 
 # ---------------------------------------------------------------------------
-# Lazy decode and delivery batching
+# In-process delivery (no decode) and delivery batching
 # ---------------------------------------------------------------------------
 
 def test_broker_skips_decode_when_nobody_matches():
@@ -326,16 +326,22 @@ def test_broker_skips_decode_when_nobody_matches():
     assert net.bytes_delivered == 0
 
 
-def test_broker_decodes_once_for_many_subscribers():
+@pytest.mark.parametrize("factory", [MulticastChannel, PubSubBroker])
+def test_in_process_delivery_hands_over_publisher_object(factory):
+    """In-process delivery never decodes: every matched consumer receives
+    the very Measurement object the publisher built."""
     env = Environment()
-    net = PubSubBroker(env)
-    stores = [MeasurementStore() for _ in range(5)]
-    for s in stores:
-        s.subscribe_to(net, qualified_name="uk.ucl.*")
-    _emit(env, net)
-    env.run(until=15)
-    assert all(s.notifications == 1 for s in stores)
-    assert net.packets_decoded == 1  # shared by all five consumers
+    net = factory(env)
+    received = [[] for _ in range(5)]
+    for sink in received:
+        net.subscribe(sink.append, qualified_name="uk.ucl.*")
+    ds = DataSource(env, "ds", "svc-1", net)
+    ds.add_probe(make_probe(qname="uk.ucl.a.b"), start=False)
+    published = ds.emit_now("test-probe")
+    assert published is not None
+    assert all(sink == [published] and sink[0] is published
+               for sink in received)
+    assert net.packets_decoded == 0
 
 
 def test_multicast_counts_bytes_without_decoding_unmatched():

@@ -1,12 +1,15 @@
-"""Differential tests: indexed broker routing vs the reference linear scan.
+"""Differential tests: the shared routing index vs the reference linear scan.
 
-The PubSubBroker's indexed mode (exact-topic dict + compiled globs + route
-cache) must be observationally identical to the seed's O(subscriptions)
-linear scan, which survives as ``PubSubBroker(env, reference=True)``. These
-tests drive both with identical randomized subscribe/unsubscribe/publish
-traffic and assert identical callback sequences and byte accounting.
+Both fabrics route through :class:`DistributionFramework`'s index (exact-topic
+dict + compiled globs + route cache), which must be observationally identical
+to the seed's O(subscriptions) linear scan over a full decode of the wire
+bytes, surviving as ``PubSubBroker(env, reference=True)``. These tests drive
+both with identical randomized subscribe/unsubscribe/publish traffic —
+including consumers that subscribe or cancel from inside a callback — and
+assert identical callback sequences and byte accounting.
 """
 
+import itertools
 import random
 
 import pytest
@@ -113,7 +116,8 @@ def test_indexed_routing_matches_reference(seed):
     assert indexed.bytes_published == reference.bytes_published
     assert indexed.bytes_delivered == reference.bytes_delivered
     assert indexed.packets_published == reference.packets_published
-    # lazy decode never decodes more than the reference's always-decode
+    # in-process delivery never decodes more than the reference's
+    # always-decode (it never decodes at all)
     assert indexed.packets_decoded <= reference.packets_decoded
 
 
@@ -135,7 +139,7 @@ def test_indexed_routing_matches_reference_with_latency(seed):
 def test_multicast_matches_reference_broker_callbacks(seed):
     """A MulticastChannel's *callback* sequence equals the broker's (same
     filters, same traffic) even though its byte accounting differs — the
-    lazy-decode refactor must not change who sees what."""
+    shared index and in-process delivery must not change who sees what."""
     env_m, env_r = Environment(), Environment()
     multicast = MulticastChannel(env_m)
     reference = PubSubBroker(env_r, reference=True)
@@ -163,3 +167,83 @@ def test_route_cache_counters_account_hits_and_misses():
     broker.unsubscribe(sub)
     broker.publish(m)
     assert (broker.route_cache_misses, broker.route_cache_hits) == (3, 1)
+
+
+# ---------------------------------------------------------------------------
+# Subscription churn from inside a callback: the route is fixed when a
+# packet's delivery starts, on every fabric.
+# ---------------------------------------------------------------------------
+
+def _churning_traffic(seed, fabric, *, n_packets=150, max_live=40):
+    """Publish random traffic into one fabric whose consumers, when called,
+    sometimes subscribe a new consumer or cancel a live one. Each consumer's
+    choices come from its own seeded stream, so two fabrics with the same
+    delivery semantics replay exactly the same log."""
+    rng = random.Random(seed)
+    log = []
+    live = []
+    tags = itertools.count()
+
+    def add(choices):
+        tag = next(tags)
+        own = random.Random(seed * 7919 + tag)
+        service_id, qualified_name = _random_filters(choices)
+
+        def callback(m):
+            log.append((tag, m.service_id, m.qualified_name, m.seqno))
+            roll = own.random()
+            if roll < 0.15 and len(live) < max_live:
+                add(own)
+            elif roll < 0.3 and live:
+                live.pop(own.randrange(len(live))).cancel()
+
+        live.append(fabric.subscribe(callback, service_id=service_id,
+                                     qualified_name=qualified_name))
+
+    for _ in range(12):
+        add(rng)
+    for k in range(n_packets):
+        if not live:
+            add(rng)
+        fabric.publish(Measurement(
+            qualified_name=rng.choice(QNAMES),
+            service_id=rng.choice(SERVICES),
+            probe_id="probe-1", timestamp=float(k), values=(k,), seqno=k))
+    return log
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_churn_during_delivery_matches_reference(seed):
+    reference = _churning_traffic(
+        seed, PubSubBroker(Environment(), reference=True))
+    assert len(reference) > 100
+    assert _churning_traffic(seed, PubSubBroker(Environment())) == reference
+    assert _churning_traffic(seed, MulticastChannel(Environment())) \
+        == reference
+
+
+@pytest.mark.parametrize("factory", [
+    MulticastChannel, PubSubBroker,
+    lambda env: PubSubBroker(env, reference=True)])
+def test_route_is_fixed_when_delivery_starts(factory):
+    """A consumer cancelled mid-delivery still gets the packet in flight; a
+    consumer subscribed mid-delivery first sees the next packet."""
+    env = Environment()
+    net = factory(env)
+    seen = []
+    late = []
+
+    def first(m):
+        seen.append(("first", m.seqno))
+        if m.seqno == 0:
+            second_sub.cancel()
+            late.append(net.subscribe(
+                lambda m: seen.append(("late", m.seqno))))
+
+    net.subscribe(first)
+    second_sub = net.subscribe(lambda m: seen.append(("second", m.seqno)))
+    for seqno in range(2):
+        net.publish(Measurement(QNAMES[0], "svc-1", "p-1", 0.0, (1,),
+                                seqno=seqno))
+    assert seen == [("first", 0), ("second", 0), ("first", 1), ("late", 1)]
+    assert late[0].active and not second_sub.active

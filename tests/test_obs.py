@@ -339,6 +339,49 @@ def test_indexed_query_matches_linear_reference_randomized():
     assert log.last(kind="c") == (linear[-1] if linear else None)
 
 
+def _linear_children(log, parent_id):
+    """The original O(spans) scan, kept as the oracle."""
+    return [s for s in log.spans.values() if s.parent_id == parent_id]
+
+
+def test_children_index_matches_linear_scan_randomized():
+    """Ambient, explicit-Span, explicit-int and cross-log parents, queried
+    by Span, by id, for roots (``None``) and for unknown ids."""
+    rng = random.Random(20261017)
+    env = Environment()
+    log, other = TraceLog(env), TraceLog(env)
+    foreign = [other.span("remote", "root") for _ in range(3)]
+    opened = []
+    for i in range(600):
+        roll = rng.random()
+        if roll < 0.25 or not opened:
+            parent = None                                   # ambient / root
+        elif roll < 0.5:
+            parent = rng.choice(opened)                     # explicit Span
+        elif roll < 0.75:
+            parent = rng.choice(opened).span_id             # explicit int
+        elif roll < 0.9:
+            parent = rng.choice(foreign).span_id            # another log
+        else:
+            parent = rng.choice(foreign)
+        if parent is None and opened and rng.random() < 0.5:
+            with log.activate(rng.choice(opened)):
+                sp = log.span("src", "k", i=i)
+        else:
+            sp = log.span("src", "k", parent=parent, i=i)
+        opened.append(sp)
+        if i % 50 == 0:
+            other.span("remote", "child", parent=rng.choice(opened))
+    queries = (opened + foreign + [s.span_id for s in opened]
+               + [None, -1, 10**12])
+    for query in queries:
+        parent_id = query.span_id if hasattr(query, "span_id") else query
+        assert log.children(query) == _linear_children(log, parent_id)
+        assert other.children(query) == _linear_children(other, parent_id)
+    assert sum(len(log.children(s)) for s in opened + foreign) \
+        + len(log.children(None)) == len(log.spans)
+
+
 # ---------------------------------------------------------------------------
 # TimeSeries.sample drift
 # ---------------------------------------------------------------------------
