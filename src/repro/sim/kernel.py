@@ -17,10 +17,11 @@ Design notes
   heap orders only the *distinct* timestamps. Provisioning workloads are
   heavily biased toward short delays and same-instant cascades — thousands of
   events share each timestamp — so the heap stays tiny while the per-event
-  cost collapses to a list append. While the drain loop is inside a
-  timestamp, zero-delay events are appended straight onto the live batch
-  (the *cascade batcher*): an event chain at one instant costs one queue
-  transaction instead of a heap push/pop per link.
+  cost collapses to a list append. While a timestamp's batch is live
+  (being drained, or left part-drained by ``step()`` or ``run(until=event)``),
+  zero-delay events are appended straight onto it (the *cascade batcher*):
+  an event chain at one instant costs one queue transaction instead of a
+  heap push/pop per link.
 * Event ordering is deterministic and identical to a binary-heap scheduler
   ordered by ``(time, priority, seq)``: buckets are split per priority
   (URGENT drains before NORMAL at each timestamp) and appends happen in
@@ -187,9 +188,9 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    The constructor hand-inlines both :meth:`Event.__init__` and the default
-    kernel's bucket insert: timeout creation is the single hottest allocation
-    site in the harness (one per probe tick, per retry, per rule cooldown).
+    The constructor schedules through :meth:`Environment._schedule`. Hot
+    paths create timeouts with ``env.timeout(...)`` instead, the closure
+    built by :func:`_make_timeout_factory`, which inlines the bucket insert.
     """
 
     __slots__ = ("delay",)
@@ -197,27 +198,10 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self.env = env
-        self.callbacks = []
+        Event.__init__(self, env)
         self._value = value
-        self._ok = True
-        self.defused = False
-        self.dead = False
         self.delay = delay
-        if env.__class__ is Environment:
-            if not delay and env._draining:
-                env._live_n.append(self)
-            else:
-                t = env._now + delay
-                buckets = env._buckets
-                bucket = buckets.get(t)
-                if bucket is not None:
-                    bucket.append(self)
-                else:
-                    buckets[t] = [self]
-                    heappush(env._times, t)
-        else:
-            env._schedule(self, delay)
+        env._schedule(self, delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -248,7 +232,7 @@ def _make_timeout_factory(env: "Environment") -> Callable[..., Timeout]:
             self.defused = False
             self.dead = False
             self.delay = delay
-            if not delay and env._draining:
+            if not delay and (env._draining or env._live_n or env._live_u):
                 env._live_n.append(self)
             else:
                 t = env._now + delay
@@ -587,7 +571,7 @@ class Environment:
         #: :attr:`metrics`.
         self._metrics: Optional[Any] = None
         #: Optional per-event profiling hook; see :meth:`profile`. When set,
-        #: :meth:`run` routes through the instrumented drain loop.
+        #: :meth:`run` steps the kernel through :meth:`_step` instead.
         self._profile_cb: Optional[Any] = None
         #: ``env.timeout(delay, value=None)`` — a specialised closure rather
         #: than a method; see :func:`_make_timeout_factory`.
@@ -671,10 +655,11 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = NORMAL) -> None:
         # Cascade batcher: a zero-delay event scheduled while its own instant
-        # is draining joins the live batch directly — no queue transaction.
-        # FIFO appends preserve the heap kernel's (time, priority, seq) order
-        # because creation order *is* seq order.
-        if not delay and self._draining:
+        # is open (draining, or left mid-batch by step() or run(until=event))
+        # joins the live batch directly — no queue transaction. FIFO appends
+        # preserve the heap kernel's (time, priority, seq) order because
+        # creation order *is* seq order.
+        if not delay and (self._draining or self._live_n or self._live_u):
             (self._live_n if priority else self._live_u).append(event)
             return
         t = self._now + delay
@@ -715,47 +700,82 @@ class Environment:
         return self._times[0] if self._times else float("inf")
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Process the single next event exactly as :meth:`run` would."""
+        self._step()
+
+    def _step(self) -> tuple[Event, Optional[list]]:
+        """Dispatch one event with :meth:`run`'s rules and return it with
+        the callback list it ran (``None`` or empty for a bare or dead
+        event). Picks are urgent-first, :meth:`_advance` adopts the next
+        batch, and ``_draining`` is set while callbacks run so same-instant
+        arrivals join the live batch as they do in :meth:`run`."""
         if self._draining:
             raise SimError("step() is not reentrant with run()")
-        if self._live_u:
-            event = self._live_u.popleft()
-        elif self._live_n:
-            event = self._live_n.popleft()
-        else:
-            if not self._advance():
-                raise SimError("empty event queue")
-            if self._live_u:
-                event = self._live_u.popleft()
-            else:
-                event = self._live_n.popleft()
+        live_u = self._live_u
+        live_n = self._live_n
+        if not (live_u or live_n) and not self._advance():
+            raise SimError("empty event queue")
+        event = live_u.popleft() if live_u else live_n.popleft()
         self._events_done += 1
         callbacks, event.callbacks = event.callbacks, None
         if callbacks:
-            for callback in callbacks:
-                callback(event)
+            self._draining = True
+            try:
+                for callback in callbacks:
+                    callback(event)
+            finally:
+                self._draining = False
             if not event._ok and not event.defused:
                 raise event._value
         elif event.dead:
             self._dead_skipped += 1
         elif not event._ok and not event.defused:
             raise event._value
+        return event, callbacks
 
     def profile(self, callback) -> None:
         """Install (or with ``None``, remove) a per-event profiling hook.
 
         The hook is called after every dispatch as ``callback(event,
         callbacks, wall_s)`` — the event, the callback list it was
-        dispatched with (``None`` for a lazily-cancelled dead skip), and
-        the wall-clock seconds the dispatch took. Event *order* is
-        identical to the unprofiled drain; only wall-clock changes, which
-        is invisible to the simulation. Refused on the reference kernel —
-        it is the differential oracle and stays verbatim.
+        dispatched with (``None`` for a bare event or a lazily-cancelled
+        dead skip), and the wall-clock seconds the dispatch took. Event
+        *order* is identical to the unprofiled drain; only wall-clock
+        changes, which is invisible to the simulation. Refused on the
+        reference kernel — it is the differential oracle and stays
+        verbatim.
         """
         if callback is not None and self.reference:
             raise SimError("profiling is not supported on the reference "
                            "(differential-oracle) kernel")
         self._profile_cb = callback
+
+    def _until(self, until: Optional[float | Event]
+               ) -> tuple[float, Optional[Event]]:
+        """Parse :meth:`run`'s ``until`` into ``(stop_time, stop_event)``."""
+        if isinstance(until, Event):
+            return float("inf"), until
+        if until is None:
+            return float("inf"), None
+        stop_time = float(until)
+        if stop_time < self._now:
+            raise ValueError(
+                f"until={stop_time} is in the past (now={self._now})"
+            )
+        return stop_time, None
+
+    def _finish(self, stop_time: float, stop_event: Optional[Event]) -> Any:
+        """End a run that left its drain loop: return (or raise) the
+        awaited event's value, or advance the clock to ``stop_time``."""
+        if stop_event is not None:
+            if stop_event.processed:
+                if not stop_event._ok:
+                    raise stop_event._value
+                return stop_event._value
+            raise SimError("simulation ended before the awaited event fired")
+        if stop_time != float("inf"):
+            self._now = stop_time
+        return None
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -764,20 +784,11 @@ class Environment:
         the clock would pass it), or an :class:`Event` (run until it fires and
         return its value).
         """
-        if self._profile_cb is not None:
-            return self._run_profiled(until)
         if self._draining:
             raise SimError("run() is not reentrant")
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(
-                    f"until={stop_time} is in the past (now={self._now})"
-                )
+        stop_time, stop_event = self._until(until)
+        if self._profile_cb is not None:
+            return self._run_profiled(stop_time, stop_event)
 
         # The drain loop is the single hottest path in the harness: queue
         # state is bound locally and the common dispatch (one callback, event
@@ -852,110 +863,28 @@ class Environment:
             self._events_done += done
             self._dead_skipped += dead_skipped
 
-        if stop_event is not None:
-            if stop_event.processed:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            raise SimError("simulation ended before the awaited event fired")
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
+        return self._finish(stop_time, stop_event)
 
-    def _run_profiled(self, until: Optional[float | Event] = None) -> Any:
-        """:meth:`run` with the profiling hook: a faithful copy of the
-        drain loop (same ``_draining`` cascade batching, same urgent-first
-        picks, same batch adoption) that additionally times each dispatch
-        with ``perf_counter`` and feeds the hook. Kept separate so the
-        unprofiled hot path stays branch-minimal.
-        """
+    def _run_profiled(self, stop_time: float,
+                      stop_event: Optional[Event]) -> Any:
+        """:meth:`run` with the profiling hook: steps the kernel through
+        :meth:`_step`, the same dispatch :meth:`step` uses, and feeds the
+        hook each event with the wall-clock seconds its step took."""
         from time import perf_counter
-        if self._draining:
-            raise SimError("run() is not reentrant")
         hook = self._profile_cb
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(
-                    f"until={stop_time} is in the past (now={self._now})"
-                )
-
+        step = self._step
         times = self._times
-        buckets = self._buckets
-        urgent = self._urgent
         live_n = self._live_n
         live_u = self._live_u
-        pop_n = live_n.popleft
-        pop_u = live_u.popleft
-        done = 0
-        dead_skipped = 0
-        self._draining = True
-        try:
-            while True:
-                if stop_event is not None and stop_event.callbacks is None:
-                    if not stop_event._ok:
-                        raise stop_event._value
-                    return stop_event._value
-                if live_u:
-                    event = pop_u()
-                elif live_n:
-                    event = pop_n()
-                else:
-                    self._events_done += done
-                    done = 0
-                    if not times:
-                        break
-                    t = times[0]
-                    if t > stop_time:
-                        self._now = stop_time
-                        return None
-                    heappop(times)
-                    while times and times[0] == t:
-                        heappop(times)
-                    self._now = t
-                    bucket = buckets.pop(t, None)
-                    if bucket is not None:
-                        live_n.extend(bucket)
-                    bucket = urgent.pop(t, None) if urgent else None
-                    if bucket is not None:
-                        live_u.extend(bucket)
-                    continue
-
-                done += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    t0 = perf_counter()
-                    for callback in callbacks:
-                        callback(event)
-                    hook(event, callbacks, perf_counter() - t0)
-                    if not event._ok and not event.defused:
-                        raise event._value
-                elif event.dead:
-                    dead_skipped += 1
-                    hook(event, None, 0.0)
-                elif not event._ok and not event.defused:
-                    raise event._value
-                else:
-                    hook(event, None, 0.0)
-        finally:
-            self._draining = False
-            self._events_done += done
-            self._dead_skipped += dead_skipped
-
-        if stop_event is not None:
-            if stop_event.processed:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            raise SimError("simulation ended before the awaited event fired")
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
+        while stop_event is None or stop_event.callbacks is not None:
+            # run()'s stop rule: a new batch starts only at or before
+            # ``stop_time``.
+            if not (live_u or live_n or times and times[0] <= stop_time):
+                break
+            t0 = perf_counter()
+            event, callbacks = step()
+            hook(event, callbacks or None, perf_counter() - t0)
+        return self._finish(stop_time, stop_event)
 
 
 class _ReferenceEnvironment(Environment):

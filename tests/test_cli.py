@@ -108,6 +108,17 @@ def test_capacity_admission_refused(xml_path, capsys):
     assert "REFUSED" in capsys.readouterr().out
 
 
+def test_plan_would_admit(xml_path, capsys):
+    assert main(["plan", xml_path, "--hosts", "8"]) == 0
+    assert "would admit" in capsys.readouterr().out
+
+
+def test_plan_would_not_admit(xml_path, capsys):
+    assert main(["plan", xml_path, "--sites", "1", "--hosts", "1",
+                 "--greedy-only"]) == 1
+    assert "would not admit" in capsys.readouterr().out
+
+
 def test_control_demo(capsys):
     assert main(["control-demo", "--tenants", "3", "--services", "3",
                  "--hosts", "3", "--quota", "2"]) == 0

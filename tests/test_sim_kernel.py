@@ -555,6 +555,75 @@ def test_step_is_not_reentrant(reference):
         env.run()
 
 
+@pytest.mark.parametrize("stepped", [False, True])
+@pytest.mark.parametrize("reference", [False, True])
+def test_process_spawned_mid_batch_starts_before_same_instant_events(
+        reference, stepped):
+    """A's callback spawns a child at t=5; the child's URGENT init beats
+    the NORMAL timeout B due at the same instant, whether the kernel is
+    driven by run() or one step() at a time."""
+    env = Environment(reference=reference)
+    log = []
+
+    def child(env):
+        log.append("child")
+        yield env.timeout(0)
+
+    def on_a(_event):
+        log.append("A")
+        env.process(child(env))
+
+    env.timeout(5).callbacks.append(on_a)
+    env.timeout(5).callbacks.append(lambda _event: log.append("B"))
+    if stepped:
+        while env.peek() <= 10:
+            env.step()
+    else:
+        env.run(until=10)
+    assert log == ["A", "child", "B"]
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_process_spawned_between_steps_keeps_heap_order(reference):
+    """The driver spawns a process between two step() calls while t=5 is
+    still part-drained: its URGENT init runs before the instant's
+    remaining NORMAL timeout."""
+    env = Environment(reference=reference)
+    log = []
+
+    def child(env):
+        log.append("child")
+        yield env.timeout(0)
+
+    env.timeout(5).callbacks.append(lambda _event: log.append("A"))
+    env.timeout(5).callbacks.append(lambda _event: log.append("B"))
+    env.step()
+    env.process(child(env))
+    env.run()
+    assert log == ["A", "child", "B"]
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_event_scheduled_after_run_until_event_keeps_heap_order(reference):
+    """run(until=event) can return mid-instant. A zero-delay event
+    scheduled before the next run() precedes the cascade the instant's
+    remaining events create later."""
+    env = Environment(reference=reference)
+    log = []
+
+    def on_b(_event):
+        log.append("B")
+        env.timeout(0).callbacks.append(lambda _event: log.append("B0"))
+
+    a = env.timeout(5)
+    a.callbacks.append(lambda _event: log.append("A"))
+    env.timeout(5).callbacks.append(on_b)
+    env.run(until=a)
+    env.timeout(0).callbacks.append(lambda _event: log.append("ext"))
+    env.run()
+    assert log == ["A", "B", "ext", "B0"]
+
+
 def test_reference_and_wheel_step_peek_parity():
     def build(reference):
         env = Environment(reference=reference)
