@@ -47,6 +47,28 @@ def test_kernel_event_throughput(benchmark):
     assert benchmark(run) == 100.0
 
 
+def test_periodic_grid_1k(benchmark):
+    """1000 ``every()`` members on one 60 s grid for 60 ticks: the
+    primitive that drives probes and rule passes (informational, not
+    gated)."""
+
+    def run():
+        env = Environment()
+        ticks = [0]
+
+        def tick():
+            ticks[0] += 1
+            return 60.0
+
+        for _ in range(1000):
+            env.every(60.0, tick)
+        env.run(until=3600.0)
+        return ticks[0], env.events_processed
+
+    # 1000 start events plus one tick-group event per instant.
+    assert benchmark(run) == (60_000, 1000 + 60)
+
+
 def test_kernel_process_spawn(benchmark):
     """Spawn 1k short-lived processes."""
 

@@ -13,9 +13,10 @@ Implements the §4.2.2 OCL contract precisely:
 Evaluation scheduling follows §4.2.2's guidance: "it is for the
 implementation to determine when the rules should be checked to fit within
 particular timing constraints rather than tying checks to the reception of
-any specific monitoring event" — the interpreter runs a periodic evaluation
-loop whose period defaults to half the tightest rule time-constraint, so
-every enabling event is acted on inside its window. A per-rule cooldown
+any specific monitoring event" — the interpreter evaluates on its own
+period (an ``Environment.every`` member, so engines sharing a period share
+one kernel event per instant), which defaults to half the tightest rule
+time-constraint, so every enabling event is acted on inside its window. A per-rule cooldown
 (defaulting to the time constraint) prevents duplicate responses to one
 sustained condition spike.
 
@@ -47,12 +48,12 @@ validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ...monitoring.consumers import MeasurementJournal, MeasurementStore
 from ...monitoring.distribution import DistributionFramework
 from ...monitoring.measurements import Measurement
-from ...sim import Environment, Interrupt, TraceLog
+from ...sim import Environment, Periodic, TraceLog
 from ..manifest.elasticity import ElasticityAction, ElasticityRule
 from ..manifest.expressions import Bindings, EvaluationContext, WindowOp
 
@@ -112,7 +113,9 @@ class RuleInterpreter:
         self._explicit_period = eval_period_s
         self._incremental = incremental
         self._compiled = compiled
-        self._loop = None
+        #: cached :attr:`eval_period_s`; cleared when the rule set changes
+        self._period: Optional[float] = None
+        self._ticker: Optional[Periodic] = None
         self._seq = 0
         #: KPI qualified name → installed rules referencing it
         self._kpi_index: dict[str, list[_InstalledRule]] = {}
@@ -133,8 +136,8 @@ class RuleInterpreter:
         self.rules_evaluated = 0
         #: cumulative number of rules skipped by the incremental pass
         self.rules_skipped = 0
-        #: breakdown of the most recent pass, for validation and benches
-        self.last_pass: dict[str, int] = {}
+        #: the most recent pass's tallies, in :data:`_PASS_FIELDS` order
+        self._last_pass: Optional[tuple[int, ...]] = None
         #: views registered lazily on the first install() — a service with
         #: no elasticity rules never publishes rule-engine streams
         self._views_registered = False
@@ -183,7 +186,7 @@ class RuleInterpreter:
             self._kpi_index.setdefault(name, []).append(installed)
         # A fresh rule has never been evaluated: check it on the next pass.
         self._set_hot(installed, True)
-        self._restart_loop()
+        self._period = None
 
     def install_all(self, rules) -> None:
         for rule in rules:
@@ -202,7 +205,7 @@ class RuleInterpreter:
         if installed.periodic:
             self._periodic.remove(installed)
         self._hot.pop(name, None)
-        self._restart_loop()
+        self._period = None
 
     @property
     def rules(self) -> list[ElasticityRule]:
@@ -210,12 +213,19 @@ class RuleInterpreter:
 
     @property
     def eval_period_s(self) -> float:
-        if self._explicit_period is not None:
-            return self._explicit_period
-        if not self._rules:
-            return 5.0
-        return min(ir.rule.trigger.time_constraint_s
-                   for ir in self._rules.values()) / 2.0
+        """Seconds between passes. A running engine picks a change up at
+        its next pass, as it reads the period after each one."""
+        period = self._period
+        if period is None:
+            if self._explicit_period is not None:
+                period = self._explicit_period
+            elif not self._rules:
+                period = 5.0
+            else:
+                period = min(ir.rule.trigger.time_constraint_s
+                             for ir in self._rules.values()) / 2.0
+            self._period = period
+        return period
 
     # ------------------------------------------------------------------
     # Monitoring input (OCL: RuleInterpreter::notify)
@@ -303,13 +313,20 @@ class RuleInterpreter:
             installed.hot = False
             del self._hot[installed.rule.name]
 
-    def _candidates(self) -> list[_InstalledRule]:
+    def _candidates(self) -> Sequence[_InstalledRule]:
         """The rules this pass must evaluate, in install order.
 
         Cost scales with the number of dirty KPIs plus hot/periodic rules,
-        not with the number of installed rules.
+        not with the number of installed rules. The result may be the live
+        KPI index bucket, so the rule set must not change while a pass
+        iterates it (no executor installs or uninstalls rules).
         """
         dirty = self._dirty
+        if not self._hot and not self._periodic and len(dirty) <= 1:
+            # One dirty KPI or none: its bucket is already in install order.
+            for name in dirty:
+                return self._kpi_index.get(name, ())
+            return ()
         selected: dict[int, _InstalledRule] = {}
         for name in dirty:
             for installed in self._kpi_index.get(name, ()):
@@ -355,7 +372,8 @@ class RuleInterpreter:
                 self._set_hot(installed, True)
                 continue
             if not holds:
-                self._set_hot(installed, False)
+                if installed.hot:
+                    self._set_hot(installed, False)
                 continue
             # Held: a sustained condition re-fires after its cooldown even
             # with no new measurements, so it must stay on the check list.
@@ -396,45 +414,43 @@ class RuleInterpreter:
             else:
                 installed.suppressed_evaluations += 1
                 self.trace.close_span(firing_span, "suppressed")
+        installed_n = len(self._rules)
+        skipped = installed_n - len(work)
         self.rules_evaluated += evaluated
-        self.rules_skipped += len(self._rules) - len(work)
-        self.last_pass = {
-            "installed": len(self._rules),
-            "candidates": len(work),
-            "evaluated": evaluated,
-            "cooldown_skipped": cooldown_skipped,
-            "skipped": len(self._rules) - len(work),
-            "dirty_kpis": dirty_kpis,
-        }
+        self.rules_skipped += skipped
+        self._last_pass = (installed_n, len(work), evaluated,
+                           cooldown_skipped, skipped, dirty_kpis)
         return fired
 
+    _PASS_FIELDS = ("installed", "candidates", "evaluated",
+                    "cooldown_skipped", "skipped", "dirty_kpis")
+
+    @property
+    def last_pass(self) -> dict[str, int]:
+        """Breakdown of the most recent pass, for validation and benches
+        (empty before the first pass)."""
+        if self._last_pass is None:
+            return {}
+        return dict(zip(self._PASS_FIELDS, self._last_pass))
+
     # ------------------------------------------------------------------
-    # Periodic evaluation loop
+    # Periodic evaluation
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._loop is None or not self._loop.is_alive:
-            self._loop = self.env.process(
-                self._evaluation_loop(),
-                name=f"rule-engine:{self.service_id}",
-            )
+        """Evaluate every :attr:`eval_period_s`, the first pass one period
+        from now."""
+        if self._ticker is None or not self._ticker.active:
+            self._ticker = self.env.every(lambda: self.eval_period_s,
+                                          self._tick)
 
     def stop(self) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            self._loop.interrupt("engine stopped")
-        self._loop = None
+        if self._ticker is not None:
+            self._ticker.cancel()
+        self._ticker = None
 
-    def _restart_loop(self) -> None:
-        # Period may have changed with the rule set; a running loop picks
-        # the new period up on its next iteration, so nothing to do.
-        pass
-
-    def _evaluation_loop(self):
-        try:
-            while True:
-                yield self.env.timeout(self.eval_period_s)
-                self.evaluate_rules()
-        except Interrupt:
-            pass
+    def _tick(self) -> float:
+        self.evaluate_rules()
+        return self.eval_period_s
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -12,12 +12,13 @@ level obligations based on defined semantic constraints".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from ..monitoring.consumers import MeasurementJournal, MeasurementStore
 from ..monitoring.distribution import DistributionFramework
 from ..monitoring.measurements import Measurement
-from ..sim import Environment, Interrupt, TraceLog
+from ..sim import Environment, Periodic, TraceLog
 from .manifest.expressions import EvaluationContext
 from .manifest.sla import SLASection, ServiceLevelObjective
 
@@ -51,7 +52,7 @@ class _ObjectiveState:
     breaches: list[SLOBreach] = field(default_factory=list)
     #: end of the last assessed window (assessments don't overlap)
     last_assessed: float = 0.0
-    loop: object = None
+    ticker: Optional[Periodic] = None
 
 
 #: Protection hook: called with (objective, compliance) when a window
@@ -122,16 +123,15 @@ class SLAMonitor:
         self._started = True
         for state in self._states.values():
             state.last_assessed = self.env.now
-            state.loop = self.env.process(
-                self._objective_loop(state),
-                name=f"slo:{self.service_id}:{state.slo.name}",
-            )
+            state.ticker = self.env.every(
+                state.slo.evaluation_period_s,
+                partial(self._objective_tick, state))
 
     def stop(self) -> None:
         for state in self._states.values():
-            if state.loop is not None and state.loop.is_alive:
-                state.loop.interrupt("sla monitor stopped")
-            state.loop = None
+            if state.ticker is not None:
+                state.ticker.cancel()
+            state.ticker = None
         self._started = False
 
     # ------------------------------------------------------------------
@@ -161,7 +161,7 @@ class SLAMonitor:
         return EvaluationContext(latest=latest, window=window)
 
     def sample(self, name: str) -> SLOSample:
-        """Evaluate one objective now (also used by the periodic loop)."""
+        """Evaluate one objective now (also used by the periodic tick)."""
         state = self._states[name]
         try:
             held = state.slo.expression.holds(self._context())
@@ -176,16 +176,12 @@ class SLAMonitor:
                             service=self.service_id)
         return sample
 
-    def _objective_loop(self, state: _ObjectiveState):
+    def _objective_tick(self, state: _ObjectiveState) -> float:
         slo = state.slo
-        try:
-            while True:
-                yield self.env.timeout(slo.evaluation_period_s)
-                self.sample(slo.name)
-                if self.env.now >= state.last_assessed + slo.assessment_window_s:
-                    self._assess(state)
-        except Interrupt:
-            pass
+        self.sample(slo.name)
+        if self.env.now >= state.last_assessed + slo.assessment_window_s:
+            self._assess(state)
+        return slo.evaluation_period_s
 
     def _assess(self, state: _ObjectiveState) -> None:
         slo = state.slo

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..sim import Environment, Interrupt, TraceLog
+from ..sim import Environment, Periodic, TraceLog
 from .distribution import DistributionFramework
 from .probes import DataSource
 
@@ -78,7 +78,7 @@ class AdaptiveRateController:
         self.trace = trace if trace is not None else TraceLog(env)
         self._managed: list[_ManagedProbe] = []
         self._last_bytes = network.bytes_published
-        self._loop = None
+        self._ticker: Optional[Periodic] = None
         self.throttle_events = 0
         self.restore_events = 0
 
@@ -103,22 +103,18 @@ class AdaptiveRateController:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._loop is None or not self._loop.is_alive:
-            self._loop = self.env.process(self._control_loop(),
-                                          name="adaptive-monitoring")
+        if self._ticker is None or not self._ticker.active:
+            self._ticker = self.env.every(lambda: self.check_period_s,
+                                          self._control_tick)
 
     def stop(self) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            self._loop.interrupt("controller stopped")
-        self._loop = None
+        if self._ticker is not None:
+            self._ticker.cancel()
+        self._ticker = None
 
-    def _control_loop(self):
-        try:
-            while True:
-                yield self.env.timeout(self.check_period_s)
-                self._adjust(self.current_rate())
-        except Interrupt:
-            pass
+    def _control_tick(self) -> float:
+        self._adjust(self.current_rate())
+        return self.check_period_s
 
     def current_rate(self) -> float:
         """Published bytes/s since the last check (and reset the window)."""

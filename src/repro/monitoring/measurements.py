@@ -90,6 +90,18 @@ class AttributeType(enum.Enum):
         return False
 
 
+#: wire type -> the exact Python types it accepts (see
+#: ``AttributeType.accepts``, which also admits subclasses)
+_EXACT_TYPES = {
+    AttributeType.INTEGER: frozenset((int,)),
+    AttributeType.LONG: frozenset((int,)),
+    AttributeType.FLOAT: frozenset((int, float)),
+    AttributeType.DOUBLE: frozenset((int, float)),
+    AttributeType.BOOLEAN: frozenset((bool,)),
+    AttributeType.STRING: frozenset((str,)),
+}
+
+
 @dataclass(frozen=True)
 class ProbeAttribute:
     """One field a probe reports: name, wire type and units (§5.2.6)."""
@@ -118,6 +130,10 @@ class DataDictionary:
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attribute names in {names}")
+        # Per attribute, the exact value types that ``accepts`` admits
+        # without a subclass walk: the common case of every probe tick.
+        object.__setattr__(self, "_exact_types", tuple(
+            _EXACT_TYPES.get(a.type, frozenset()) for a in self.attributes))
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -133,6 +149,13 @@ class DataDictionary:
 
     def validate_values(self, values: Sequence[Any]) -> None:
         """Check a value tuple against the schema; raises on mismatch."""
+        exact = self._exact_types
+        if len(values) == len(exact):
+            for types, value in zip(exact, values):
+                if type(value) not in types:
+                    break
+            else:
+                return
         if len(values) != len(self.attributes):
             raise ValueError(
                 f"expected {len(self.attributes)} values, got {len(values)}"

@@ -9,18 +9,22 @@ predefined interval, or transmitting when some change has occurred."
 
 Probes support the paper's control surface (Table 2): a data rate, an
 ``on``/``off`` switch (is the probe allowed to emit at all) and an
-``active``/``inactive`` flag (is its periodic emission loop running) — this
+``active``/``inactive`` flag (is its periodic emission scheduled) — this
 is the mechanism by which "the management components only receive data that
 is of relevance" (§5.2): probes not needed right now are turned off rather
 than flooding the network.
+
+Periodic emission is one ``Environment.every`` member per active probe:
+probes sharing a period grid share one kernel event per instant.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
-from ..sim import Environment, Interrupt
+from ..sim import Environment, Periodic
 from .codec import PacketEncoder
 from .distribution import DistributionFramework
 from .measurements import (
@@ -41,7 +45,7 @@ _datasource_ids = itertools.count(1)
 
 
 class Probe:
-    """One measurement stream: data dictionary + collector + emission loop."""
+    """One measurement stream: data dictionary + collector + data rate."""
 
     def __init__(self, name: str, qualified_name: str,
                  attributes: Sequence[ProbeAttribute],
@@ -58,7 +62,7 @@ class Probe:
         self.collector = collector
         self.data_rate_s = float(data_rate_s)
         self.on = True          # allowed to emit
-        self.active = False     # emission loop currently running
+        self.active = False     # periodic emission scheduled
         self._seq = itertools.count(1)
         self.datasource: Optional["DataSource"] = None
         self.measurements_sent = 0
@@ -134,7 +138,7 @@ class DataSource:
         #: the publish see the span as ambient and can adopt it as a parent.
         self.trace = trace
         self.probes: dict[str, Probe] = {}
-        self._loops: dict[str, Any] = {}
+        self._tickers: dict[str, Periodic] = {}
 
     def _publish(self, probe: Probe, measurement: Measurement) -> None:
         packet = probe.encode_packet(measurement)
@@ -161,24 +165,26 @@ class DataSource:
         return probe
 
     def start_probe(self, name: str) -> None:
-        """Begin (or resume) the periodic emission loop for a probe."""
+        """Begin (or resume) periodic emission for a probe: the first
+        measurement is one data rate from now."""
         probe = self.probes[name]
         if probe.active:
             return
         probe.active = True
-        self._loops[name] = self.env.process(
-            self._emission_loop(probe), name=f"probe:{probe.probe_id}"
-        )
+        self._tickers[name] = self.env.every(
+            lambda: probe.data_rate_s, partial(self._tick, probe))
         self._sync_infomodel(probe)
 
     def stop_probe(self, name: str) -> None:
+        """Stop periodic emission; a tick already due this instant is
+        skipped."""
         probe = self.probes[name]
         if not probe.active:
             return
         probe.active = False
-        loop = self._loops.pop(name, None)
-        if loop is not None and loop.is_alive:
-            loop.interrupt("probe stopped")
+        ticker = self._tickers.pop(name, None)
+        if ticker is not None:
+            ticker.cancel()
         self._sync_infomodel(probe)
 
     def set_data_rate(self, name: str, data_rate_s: float) -> None:
@@ -235,19 +241,13 @@ class DataSource:
         return measurements
 
     # -- internals -----------------------------------------------------------
-    def _emission_loop(self, probe: Probe):
-        try:
-            while probe.active:
-                yield self.env.timeout(probe.data_rate_s)
-                if not probe.active:
-                    break
-                if not probe.on:
-                    continue
-                measurement = probe.take_measurement(self.env, self.service_id)
-                if measurement is not None:
-                    self._publish(probe, measurement)
-        except Interrupt:
-            pass
+    def _tick(self, probe: Probe) -> float:
+        """One periodic emission; returns the delay to the next."""
+        if probe.on:
+            measurement = probe.take_measurement(self.env, self.service_id)
+            if measurement is not None:
+                self._publish(probe, measurement)
+        return probe.data_rate_s
 
     def _sync_infomodel(self, probe: Probe) -> None:
         if self.infomodel is not None:

@@ -10,8 +10,10 @@ aggregates it two ways:
   profile opens in ``chrome://tracing`` next to the span trace
   (:meth:`chrome_trace`).
 
-The *layer* is recovered from the dispatched callbacks: a bound method of
-an object with a string ``name`` (processes name themselves
+The *layer* is recovered from the dispatched event and its callbacks: a
+tick group (one dispatch running every periodic probe and rule pass due at
+an instant, see ``Environment.every``) is the ``tick`` layer; a bound
+method of an object with a string ``name`` (processes name themselves
 ``layer-instance:purpose``) classifies by the name's prefix; otherwise by
 the owning class's module. Attribution is deterministic — only the
 wall-clock column varies between runs, and wall-clock never feeds back
@@ -20,12 +22,17 @@ into the simulation.
 
 from __future__ import annotations
 
+from ..sim.kernel import TickGroup
+
 __all__ = ["SimProfiler"]
 
 
-def _classify(callbacks) -> str:
-    """Layer label for one dispatch: dead skips and bare events belong to
-    the kernel; bound methods classify by their owner."""
+def _classify(event, callbacks) -> str:
+    """Layer label for one dispatch: tick groups are ``tick``; dead skips
+    and bare events belong to the kernel; bound methods classify by their
+    owner."""
+    if type(event) is TickGroup:
+        return "tick"
     if not callbacks:
         return "kernel"
     cb = callbacks[0]
@@ -65,7 +72,7 @@ class SimProfiler:
             self._env = None
 
     def _hook(self, event, callbacks, wall_s: float) -> None:
-        layer = _classify(callbacks)
+        layer = _classify(event, callbacks)
         key = (layer, type(event).__name__)
         cell = self.by_key.get(key)
         if cell is None:

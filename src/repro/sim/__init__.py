@@ -13,6 +13,7 @@ from .kernel import (
     Environment,
     Event,
     Interrupt,
+    Periodic,
     Process,
     SimError,
     StopProcess,
@@ -44,6 +45,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
+    "Periodic",
     "Process",
     "SimError",
     "StopProcess",

@@ -33,6 +33,21 @@ Design notes
   timeout, an ``AnyOf`` loser) is marked ``dead`` and skipped when its bucket
   drains, rather than being dug out of the queue. Skips are counted in
   ``kernel.events.dead_skipped``.
+* Recurring callbacks (``Environment.every``) share one kernel event per
+  instant. Each member's next tick is a :class:`TickGroup` entry, and the
+  order is the one separate per-member timeouts would have had:
+
+  - the first tick is scheduled from an URGENT start event, where a
+    process's first ``yield env.timeout(...)`` would be;
+  - a next tick joins the group queued for its due instant only while that
+    group is still the last NORMAL entry there, so any event scheduled onto
+    the same instant in between keeps its place;
+  - after each member runs, pending URGENT events (a process the member
+    spawned) run before the next member: the rest of the group goes back to
+    the front of the live batch and is dispatched, and counted, again.
+
+  Both kernels group the same way (the heap kernel tracks the last NORMAL
+  entry per timestamp), so ``events_processed`` agrees between them.
 """
 
 from __future__ import annotations
@@ -51,6 +66,8 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
+    "Periodic",
+    "TickGroup",
     "Environment",
 ]
 
@@ -504,6 +521,40 @@ class AllOf(_Condition):
             self.succeed(self._collect())
 
 
+class Periodic:
+    """Handle for one recurring callback started by :meth:`Environment.every`.
+
+    ``active`` is True until the callback returns ``None``, raises, or
+    :meth:`cancel` is called.
+    """
+
+    __slots__ = ("callback", "active")
+
+    def __init__(self, callback: Callable[[], Optional[float]]):
+        self.callback = callback
+        self.active = True
+
+    def cancel(self) -> None:
+        """Stop the member: its queued tick is skipped when its group runs.
+        No event is scheduled and nothing is left in the queue for it."""
+        self.active = False
+
+
+class TickGroup(Event):
+    """One queue entry carrying the :class:`Periodic` members due at the
+    same instant, in the order their ticks were scheduled. ``pos`` is the
+    next member to run when a dispatch yielded to URGENT events."""
+
+    __slots__ = ("members", "pos")
+
+    def __init__(self, env: "Environment", member: Periodic):
+        Event.__init__(self, env)
+        self._value = None
+        self.callbacks.append(env._fire_group)
+        self.members = [member]
+        self.pos = 0
+
+
 # ---------------------------------------------------------------------------
 # Environment
 # ---------------------------------------------------------------------------
@@ -650,6 +701,97 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
+
+    def every(self, delay: float | Callable[[], float],
+              callback: Callable[[], Optional[float]]) -> Periodic:
+        """Call ``callback()`` after ``delay`` seconds, then again after
+        each delay it returns, until it returns ``None`` or the returned
+        handle is cancelled.
+
+        Members run in the order processes looping on ``yield
+        env.timeout(d)`` would, with one kernel event per instant for all
+        members due then (see the module docstring). ``delay`` may be a
+        zero-argument callable; it is read when the URGENT start event
+        fires, as the process's first ``yield`` would read it. An exception
+        from ``callback`` stops that member and propagates out of
+        :meth:`run`; the rest of its group stays queued.
+        """
+        if not callable(delay) and not delay > 0:
+            raise ValueError(f"period must be positive, got {delay}")
+        member = Periodic(callback)
+        start = Event(self)
+        start._value = None
+
+        def begin(_event: Event) -> None:
+            if member.active:
+                try:
+                    self._join(member, delay() if callable(delay) else delay)
+                except BaseException:
+                    member.active = False
+                    raise
+
+        start.callbacks.append(begin)
+        self._schedule(start, priority=Environment.URGENT)
+        return member
+
+    def _join(self, member: Periodic, delay: float) -> None:
+        """Queue ``member``'s next tick ``delay`` seconds from now: on the
+        timestamp's last NORMAL entry if that is a tick group, else on a
+        new group appended behind it."""
+        if not delay > 0:
+            raise ValueError(f"period must be positive, got {delay}")
+        t = self._now + delay
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            self._buckets[t] = [TickGroup(self, member)]
+            heappush(self._times, t)
+        else:
+            last = bucket[-1]
+            if last.__class__ is TickGroup:
+                last.members.append(member)
+            else:
+                bucket.append(TickGroup(self, member))
+
+    def _urgent_pending(self) -> bool:
+        """True when an URGENT event is due at the current instant."""
+        return bool(self._live_u)
+
+    def _requeue(self, group: TickGroup) -> None:
+        """Put a part-run group back at the front of the instant's NORMAL
+        entries (its members' ticks precede everything queued since)."""
+        self._live_n.appendleft(group)
+
+    def _fire_group(self, group: TickGroup) -> None:
+        """Dispatch a tick group: run each active member and queue its next
+        tick; yield to URGENT events between members."""
+        members = group.members
+        n = len(members)
+        i = group.pos
+        join = self._join
+        urgent_pending = self._urgent_pending
+        while i < n:
+            member = members[i]
+            i += 1
+            if not member.active:
+                continue
+            try:
+                delay = member.callback()
+                if delay is None:
+                    member.active = False
+                elif member.active:
+                    join(member, delay)
+            except BaseException:
+                member.active = False
+                if i < n:
+                    group.pos = i
+                    group.callbacks = [self._fire_group]
+                    self._requeue(group)
+                raise
+            if i < n and urgent_pending():
+                group.pos = i
+                group.callbacks = [self._fire_group]
+                self._requeue(group)
+                return
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,
@@ -895,12 +1037,16 @@ class _ReferenceEnvironment(Environment):
     the calendar queue replays its exact event order.
     """
 
-    __slots__ = ("_queue", "_seq")
+    __slots__ = ("_queue", "_seq", "_last_normal")
 
     def __init__(self, initial_time: float = 0.0, reference: bool = True):
         super().__init__(initial_time)
         self._queue: list[_QueueEntry] = []
         self._seq = itertools.count().__next__
+        #: timestamp -> its queued NORMAL entry with the highest seq, so a
+        #: periodic tick can join a tick group exactly when the calendar
+        #: kernel's bucket would end with it
+        self._last_normal: dict[float, Event] = {}
 
     @property
     def reference(self) -> bool:
@@ -908,8 +1054,37 @@ class _ReferenceEnvironment(Environment):
 
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = Environment.NORMAL) -> None:
-        heappush(self._queue,
-                 (self._now + delay, priority, self._seq(), event))
+        t = self._now + delay
+        heappush(self._queue, (t, priority, self._seq(), event))
+        if priority:
+            self._last_normal[t] = event
+
+    def _pop(self) -> Event:
+        t, priority, _, event = heappop(self._queue)
+        self._now = t
+        if priority and self._last_normal.get(t) is event:
+            del self._last_normal[t]
+        return event
+
+    def _join(self, member: Periodic, delay: float) -> None:
+        if not delay > 0:
+            raise ValueError(f"period must be positive, got {delay}")
+        last = self._last_normal.get(self._now + delay)
+        if last is not None and last.__class__ is TickGroup:
+            last.members.append(member)
+        else:
+            self._schedule(TickGroup(self, member), delay)
+
+    def _urgent_pending(self) -> bool:
+        queue = self._queue
+        return (bool(queue) and queue[0][1] == Environment.URGENT
+                and queue[0][0] == self._now)
+
+    def _requeue(self, group: TickGroup) -> None:
+        # seq -1 sorts before every NORMAL entry at this instant and after
+        # its URGENT ones. Only one group is ever part-run: it yields to
+        # URGENT events only, and none of them is a tick group.
+        heappush(self._queue, (self._now, Environment.NORMAL, -1, group))
 
     def peek(self) -> float:
         return self._queue[0][0] if self._queue else float("inf")
@@ -917,7 +1092,7 @@ class _ReferenceEnvironment(Environment):
     def step(self) -> None:
         if not self._queue:
             raise SimError("empty event queue")
-        self._now, _, _, event = heappop(self._queue)
+        event = self._pop()
         self._events_done += 1
         callbacks, event.callbacks = event.callbacks, None
         if callbacks:
@@ -943,6 +1118,7 @@ class _ReferenceEnvironment(Environment):
                 )
 
         queue = self._queue
+        pop = self._pop
         done = 0
         dead_skipped = 0
         try:
@@ -954,7 +1130,7 @@ class _ReferenceEnvironment(Environment):
                 if queue[0][0] > stop_time:
                     self._now = stop_time
                     return None
-                self._now, _, _, event = heappop(queue)
+                event = pop()
                 done += 1
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks:

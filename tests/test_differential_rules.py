@@ -144,6 +144,44 @@ def test_sparse_churn_evaluates_only_dirty_rules():
     assert interp.last_pass["evaluated"] == 1
 
 
+def test_eval_period_cache_invalidated_by_install_and_uninstall():
+    env = Environment()
+    interp = RuleInterpreter(env, "svc", executor=lambda a, r: False)
+    assert interp.eval_period_s == 5.0         # no rules: the default
+    slow = ElasticityRule.from_text("slow", "@k.a > 3", "notify()",
+                                    defaults=DEFAULTS,
+                                    time_constraint_ms=40_000)
+    fast = ElasticityRule.from_text("fast", "@k.a > 9", "notify()",
+                                    defaults=DEFAULTS,
+                                    time_constraint_ms=6_000)
+    interp.install(slow)
+    assert interp.eval_period_s == 20.0
+    interp.install(fast)
+    assert interp.eval_period_s == 3.0
+    interp.uninstall("fast")
+    assert interp.eval_period_s == 20.0
+    interp.uninstall("slow")
+    assert interp.eval_period_s == 5.0
+
+
+def test_running_engine_picks_up_a_new_period_next_pass():
+    env = Environment()
+    interp = RuleInterpreter(env, "svc", executor=lambda a, r: False)
+    interp.install(ElasticityRule.from_text(
+        "slow", "@k.a > 3", "notify()", defaults=DEFAULTS,
+        time_constraint_ms=20_000))
+    interp.start()
+    env.run(until=25)                          # passes at 10, 20
+    interp.install(ElasticityRule.from_text(
+        "fast", "@k.a > 9", "notify()", defaults=DEFAULTS,
+        time_constraint_ms=4_000))
+    env.run(until=35)                          # 30 was queued; then 32, 34
+    assert interp.evaluations == 5
+    interp.stop()
+    env.run(until=100)
+    assert interp.evaluations == 5
+
+
 def test_sustained_condition_refires_after_cooldown_without_new_events():
     env = Environment()
     calls = []

@@ -103,6 +103,59 @@ def test_dictionary_validate_values():
         d.index_of("missing")
 
 
+def _validate_by_accepts(d, values):
+    """The schema check written with ``AttributeType.accepts`` alone."""
+    if len(values) != len(d.attributes):
+        raise ValueError(
+            f"expected {len(d.attributes)} values, got {len(values)}")
+    for attr, value in zip(d.attributes, values):
+        if not attr.type.accepts(value):
+            raise TypeError(f"attribute {attr.name!r}: {value!r} is not a "
+                            f"valid {attr.type.value}")
+
+
+def _check_outcome(check, *args):
+    try:
+        check(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_values_fast_path_keeps_errors():
+    """The exact-type check admits and rejects what ``accepts`` does, with
+    the same error types and messages: bool as an int, int subclasses
+    (including bool-valued ones), and the wrong arity."""
+    import enum
+
+    class Count(int):
+        pass
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Ratio(float):
+        pass
+
+    values = (True, False, 0, 7, -2**63, Count(5), Level.HIGH, 1.5,
+              Ratio(0.5), float("nan"), "x", None, b"x")
+    for attr_type in AttributeType:
+        d = DataDictionary((ProbeAttribute("v", attr_type),))
+        for value in values:
+            assert (_check_outcome(d.validate_values, (value,))
+                    == _check_outcome(_validate_by_accepts, d, (value,))), (
+                attr_type, value)
+        for arity in ((), (1, 2)):
+            assert _check_outcome(d.validate_values, arity) == (
+                ValueError, f"expected 1 values, got {len(arity)}")
+    pair = DataDictionary((ProbeAttribute("n", AttributeType.INTEGER),
+                           ProbeAttribute("up", AttributeType.BOOLEAN)))
+    for row in ((1, True), (True, True), (1, 1), (Count(1), False),
+                (1.0, True)):
+        assert (_check_outcome(pair.validate_values, row)
+                == _check_outcome(_validate_by_accepts, pair, row)), row
+
+
 def test_probe_attribute_validation():
     with pytest.raises(ValueError):
         ProbeAttribute("", AttributeType.INTEGER)

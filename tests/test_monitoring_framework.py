@@ -137,6 +137,51 @@ def test_set_data_rate_changes_period():
         ds.set_data_rate("test-probe", 0)
 
 
+def test_stop_probe_mid_instant_before_its_turn_emits_nothing():
+    """A probe stopped earlier in the instant its tick is due emits
+    nothing then, nor later."""
+    env = Environment()
+    net = MulticastChannel(env)
+    journal = MeasurementJournal()
+    journal.subscribe_to(net)
+    ds = DataSource(env, "ds", "svc-1", net)
+
+    def first():
+        if env.now == 20:
+            ds.stop_probe("second")
+        return (1,)
+
+    ds.add_probe(Probe("first", "uk.ucl.test.first",
+                       [ProbeAttribute("v", AttributeType.INTEGER)],
+                       first, data_rate_s=10))
+    ds.add_probe(Probe("second", "uk.ucl.test.second",
+                       [ProbeAttribute("v", AttributeType.INTEGER)],
+                       lambda: (2,), data_rate_s=10))
+    env.run(until=45)
+    emitted = [(m.timestamp, m.qualified_name.rsplit(".", 1)[-1])
+               for m in journal]
+    assert emitted == [(10.0, "first"), (10.0, "second"), (20.0, "first"),
+                       (30.0, "first"), (40.0, "first")]
+    assert not ds.probes["second"].active
+
+
+def test_set_data_rate_during_a_tick_takes_effect_next_interval():
+    env = Environment()
+    net = MulticastChannel(env)
+    journal = MeasurementJournal()
+    journal.subscribe_to(net)
+    ds = DataSource(env, "ds", "svc-1", net)
+
+    def collect():
+        if env.now == 10:
+            ds.set_data_rate("test-probe", 3)
+        return (1,)
+
+    ds.add_probe(make_probe(value_fn=collect, rate=10))
+    env.run(until=20)
+    assert [m.timestamp for m in journal] == [10.0, 13.0, 16.0, 19.0]
+
+
 def test_emit_now_bypasses_schedule():
     env = Environment()
     net = MulticastChannel(env)

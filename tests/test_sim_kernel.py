@@ -649,3 +649,144 @@ def test_reference_and_wheel_step_peek_parity():
     assert trace_w == trace_h
     assert wheel_seen == heap_seen
     assert wheel.events_processed == heap.events_processed
+
+
+# ---------------------------------------------------------------------------
+# Environment.every: recurring callbacks, one event per instant
+# ---------------------------------------------------------------------------
+
+KERNELS = pytest.mark.parametrize("reference", [False, True],
+                                  ids=["wheel", "heap"])
+
+
+@KERNELS
+def test_every_runs_same_grid_members_in_one_event(reference):
+    env = Environment(reference=reference)
+    log = []
+    for k in range(3):
+        env.every(10, lambda k=k: log.append((env.now, k)) or 10)
+    env.run(until=35)
+    assert log == [(t, k) for t in (10.0, 20.0, 30.0) for k in range(3)]
+    # Three URGENT start events, then one tick group per instant.
+    assert env.events_processed == 3 + 3
+
+
+@KERNELS
+def test_every_stops_when_callback_returns_none(reference):
+    env = Environment(reference=reference)
+    seen = []
+
+    def tick():
+        seen.append(env.now)
+        return None if len(seen) == 2 else 5
+
+    handle = env.every(5, tick)
+    env.run(until=100)
+    assert seen == [5.0, 10.0]
+    assert not handle.active
+
+
+@KERNELS
+def test_every_cancel_schedules_nothing(reference):
+    env = Environment(reference=reference)
+    seen = []
+    handle = env.every(10, lambda: seen.append(env.now) or 10)
+    env.run(until=15)
+    before = env.events_processed
+    handle.cancel()
+    assert env.peek() == 20.0       # the queued group; no interrupt event
+    env.run(until=100)
+    assert seen == [10.0]
+    # The member's group is dispatched once more and runs nothing; no
+    # dead Timeout is left behind for it.
+    assert env.events_processed == before + 1
+    assert env.dead_skipped == 0
+    assert env.peek() == float("inf")
+
+
+@KERNELS
+def test_every_reads_first_delay_when_start_event_fires(reference):
+    env = Environment(reference=reference)
+    period = {"s": 10.0}
+    seen = []
+    env.every(lambda: period["s"], lambda: seen.append(env.now) or 10)
+    period["s"] = 4.0       # before the URGENT start event has fired
+    env.run(until=20)
+    assert seen == [4.0, 14.0]
+
+
+@KERNELS
+def test_every_rejects_non_positive_periods(reference):
+    env = Environment(reference=reference)
+    with pytest.raises(ValueError, match="positive"):
+        env.every(0, lambda: 1)
+    with pytest.raises(ValueError, match="positive"):
+        env.every(-1.0, lambda: 1)
+    handle = env.every(5, lambda: 0)
+    with pytest.raises(ValueError, match="positive"):
+        env.run()
+    assert not handle.active
+
+
+@KERNELS
+def test_every_error_propagates_and_rest_of_group_stays_queued(reference):
+    env = Environment(reference=reference)
+    seen = []
+
+    def boom():
+        raise RuntimeError("tick failed")
+
+    env.every(10, lambda: seen.append("a") or 10)
+    bad = env.every(10, boom)
+    env.every(10, lambda: seen.append("c") or 10)
+    with pytest.raises(RuntimeError, match="tick failed"):
+        env.run(until=15)
+    assert seen == ["a"] and not bad.active
+    env.run(until=25)
+    assert seen == ["a", "c", "a", "c"]
+
+
+@KERNELS
+def test_every_yields_to_a_spawned_process_between_members(reference):
+    env = Environment(reference=reference)
+    log = []
+
+    def child():
+        log.append("child")
+        yield env.timeout(0)
+
+    def spawner():
+        log.append("a")
+        env.process(child())
+        return 10
+
+    env.every(10, spawner)
+    env.every(10, lambda: log.append("b") or 10)
+    env.run(until=15)
+    assert log == ["a", "child", "b"]
+
+
+@KERNELS
+def test_every_tick_after_an_event_on_its_instant_starts_a_new_group(
+        reference):
+    """A timeout scheduled onto an instant between two members' ticks
+    keeps its place: the later member does not join the earlier group."""
+    env = Environment(reference=reference)
+    log = []
+
+    def second():
+        log.append(("b", env.now))
+        if env.now == 10:
+            # Lands at t=20 behind a's next tick, ahead of b's.
+            env.timeout(10).callbacks.append(
+                lambda _e: log.append(("timeout", env.now)))
+        return 10
+
+    env.every(10, lambda: log.append(("a", env.now)) or 10)
+    env.every(10, second)
+    env.every(10, lambda: log.append(("c", env.now)) or 10)
+    env.run(until=25)
+    assert log == [("a", 10.0), ("b", 10.0), ("c", 10.0),
+                   ("a", 20.0), ("timeout", 20.0), ("b", 20.0), ("c", 20.0)]
+    # Start events 3; t=10 one group; t=20 [a], the timeout, [b, c].
+    assert env.events_processed == 3 + 1 + 3

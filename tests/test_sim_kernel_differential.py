@@ -9,9 +9,15 @@ abandoned losers, interrupts, resource and store waits, processes spawned
 mid-batch) through both kernels and compare serialized transcripts. The
 calendar kernel is also driven one ``step()`` at a time and with a profiling
 hook installed: every way of driving it must dispatch in the heap's order.
+
+``Environment.every`` members are replayed against the generator loops
+they replace (``while True: yield env.timeout(d)``) on both kernels.
+
+``KERNEL_FUZZ_EXAMPLES`` sets the Hypothesis example budget (default 40).
 """
 
 import json
+import os
 import random
 
 import pytest
@@ -29,6 +35,8 @@ from repro.sim import (  # noqa: E402
 )
 
 DELAYS = (0.0, 0.0, 0.5, 1.0, 2.5, 7.0)
+
+MAX_EXAMPLES = int(os.environ.get("KERNEL_FUZZ_EXAMPLES", "40"))
 
 
 def _run_mix(seed: int, n_workers: int, *, reference: bool,
@@ -146,7 +154,7 @@ def test_reference_flag_selects_heap_kernel():
     assert Environment(reference=True).reference is True
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_workers=st.integers(2, 12))
 def test_wheel_matches_heap_on_random_mixes(seed, n_workers):
     """Byte-identical transcripts on randomized seeded process mixes."""
@@ -168,7 +176,7 @@ def test_wheel_matches_heap_replays_itself():
                 == _run_mix(1234, 6, reference=reference))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_workers=st.integers(2, 12))
 def test_stepped_wheel_matches_heap_on_random_mixes(seed, n_workers):
     """``step()`` dispatches in the same order as the heap's ``run()``."""
@@ -193,7 +201,7 @@ def _profiled_matches_plain(seed: int, n_workers: int) -> None:
     assert len(calls) == json.loads(profiled)["events"]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_workers=st.integers(2, 12))
 def test_profiled_run_matches_plain_on_random_mixes(seed, n_workers):
     """A profiling hook changes nothing observable, and sees every
@@ -204,3 +212,126 @@ def test_profiled_run_matches_plain_on_random_mixes(seed, n_workers):
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2010, 99991])
 def test_profiled_run_matches_plain_on_pinned_seeds(seed):
     _profiled_matches_plain(seed, 8)
+
+
+# ---------------------------------------------------------------------------
+# Periodic members: Environment.every vs generator loops
+# ---------------------------------------------------------------------------
+
+#: same-grid (multiples of 30) and off-grid periods
+PERIODS = (30.0, 60.0, 60.0, 90.0, 45.5, 17.25)
+
+
+def _run_periodic_mix(seed: int, n_members: int, *, reference: bool,
+                      loops: bool, stepped: bool = False) -> dict:
+    """Seeded periodic members; ``loops`` runs each as an ``env.process``
+    generator loop instead of an ``every()`` member. Returns the
+    ``(time, member, payload)`` transcript and the kernel counters.
+
+    A tick may change the member's period, spawn a process (its URGENT
+    start runs before the next member), schedule a timeout landing exactly
+    on the member's next tick, cancel a member (itself included) and start
+    a replacement in the same instant, or stop by returning ``None``.
+    """
+    env = Environment(reference=reference)
+    log: list = []
+    handles: list = []
+
+    class Loop:
+        """The generator-loop counterpart of a ``Periodic`` handle."""
+
+        def __init__(self):
+            self.active = True
+
+        def cancel(self):
+            self.active = False
+
+    def child(mid: int, k: int, delay: float):
+        log.append((env.now, mid, f"child-start:{k}"))
+        yield env.timeout(delay)
+        log.append((env.now, mid, f"child-done:{k}"))
+
+    def start(period: float, mseed: int) -> None:
+        mid = len(handles)
+        rng = random.Random(mseed)
+        state = {"period": period, "k": 0}
+
+        def tick():
+            k = state["k"] = state["k"] + 1
+            log.append((env.now, mid, f"tick:{k}:{state['period']}"))
+            op = rng.randrange(10)
+            if op == 0:
+                state["period"] = rng.choice(PERIODS)
+            elif op == 1:
+                env.process(child(mid, k, rng.choice((0.0, 5.0,
+                                                      state["period"]))))
+            elif op == 2:
+                on_grid = env.timeout(state["period"])
+                on_grid.callbacks.append(
+                    lambda _e, k=k: log.append((env.now, mid,
+                                                f"on-grid:{k}")))
+            elif op == 3:
+                victim = rng.randrange(len(handles))
+                handles[victim].cancel()
+                log.append((env.now, mid, f"cancel:{victim}"))
+                start(rng.choice(PERIODS), rng.randrange(2**31))
+            elif op == 4 and rng.random() < 0.3:
+                log.append((env.now, mid, "stop"))
+                return None
+            return state["period"]
+
+        if loops:
+            handle = Loop()
+
+            def loop():
+                delay = state["period"]
+                while True:
+                    yield env.timeout(delay)
+                    if not handle.active:
+                        return
+                    delay = tick()
+                    if delay is None or not handle.active:
+                        return
+
+            handles.append(handle)
+            env.process(loop())
+        else:
+            handles.append(env.every(lambda: state["period"], tick))
+
+    rng = random.Random(seed)
+    for _ in range(n_members):
+        start(rng.choice(PERIODS), rng.randrange(2**31))
+    if stepped:
+        while env.peek() <= 600.0:
+            env.step()
+    env.run(until=600.0)
+    return {"log": log, "now": env.now, "events": env.events_processed,
+            "dead_skipped": env.dead_skipped}
+
+
+def _periodic_matches(seed: int, n_members: int) -> None:
+    wheel = _run_periodic_mix(seed, n_members, reference=False, loops=False)
+    heap = _run_periodic_mix(seed, n_members, reference=True, loops=False)
+    stepped = _run_periodic_mix(seed, n_members, reference=False,
+                                loops=False, stepped=True)
+    assert wheel == heap == stepped
+    for reference in (False, True):
+        loops = _run_periodic_mix(seed, n_members, reference=reference,
+                                  loops=True)
+        assert json.dumps(loops["log"]) == json.dumps(wheel["log"])
+        assert loops["now"] == wheel["now"]
+        # One event per instant, not per member tick.
+        assert loops["events"] >= wheel["events"]
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_members=st.integers(1, 24))
+def test_every_matches_generator_loops_on_random_mixes(seed, n_members):
+    """``every()`` members give the generator loops' transcript on both
+    kernels, and both kernels count the same events."""
+    _periodic_matches(seed, n_members)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2010, 99991])
+def test_every_matches_generator_loops_on_pinned_seeds(seed):
+    _periodic_matches(seed, 16)

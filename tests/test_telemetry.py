@@ -301,6 +301,23 @@ def test_profiler_counts_every_dispatch():
     assert "sim profile" in text and "events" in text
 
 
+def test_profiler_puts_tick_groups_in_their_own_layer():
+    """One dispatch runs every probe and rule pass due at an instant; the
+    profiler files it under ``tick``, not ``kernel``."""
+    env = Environment()
+    profiler = SimProfiler().attach(env)
+    seen = []
+    for _ in range(3):
+        env.every(60.0, lambda: seen.append(env.now) or 60.0)
+    env.timeout(30.0)
+    env.run(until=130.0)
+    assert len(seen) == 6
+    assert profiler.by_key[("tick", "TickGroup")][0] == 2
+    assert profiler.by_key[("kernel", "Event")][0] == 3     # start events
+    assert profiler.by_key[("kernel", "Timeout")][0] == 1
+    assert "tick" in profiler.render()
+
+
 def test_profiler_does_not_change_outcomes():
     cfg = ScaleConfig(sites=2, services=8, hours=0.25, settle_s=120.0,
                       check_invariants=True)
