@@ -713,14 +713,9 @@ def test_metrics_merge_overhead(benchmark):
     import pickle
     from time import perf_counter
 
-    from repro.control import ControlPlane
     from repro.experiments.scale import (
-        WARMUP_S,
         ScaleConfig,
-        _attach_agent,
-        _build_site_veem,
-        _draw_profiles,
-        _register_tenants,
+        _Federation,
         _scale_manifest,
         _start_session_driver,
         _submit_all,
@@ -730,24 +725,16 @@ def test_metrics_merge_overhead(benchmark):
         SnapshotCursor,
         canonical_view,
     )
+    from repro.scenarios.workloads import draw_profiles
 
     cfg = ScaleConfig(sites=2, services=8, hours=0.25, settle_s=120.0)
     t0 = perf_counter()
-    env = Environment()
-    control = ControlPlane(env)
-    for name in (f"site-{s}" for s in range(cfg.sites)):
-        control.add_site(name, _build_site_veem(env, cfg, name,
-                                                control.trace))
-    _register_tenants(control, cfg)
-    requests, *_ = _submit_all(control, cfg, _scale_manifest(cfg))
+    fed = _Federation(cfg, [f"site-{s}" for s in range(cfg.sites)])
+    env = fed.env
+    requests, *_ = _submit_all(fed.control, cfg, _scale_manifest(cfg))
     states = [_start_session_driver(env, profile, cfg)
-              for profile in _draw_profiles(cfg, requests)]
-    env.run(until=WARMUP_S)
-    site_by_name = {s.name: s for s in control.sites}
-    for request, state in zip(requests, states):
-        if request.service is not None:
-            _attach_agent(env, cfg, site_by_name[request.site].manager,
-                          request.service_id, state)
+              for profile in draw_profiles(cfg, requests)]
+    fed.warm_up(requests, states)
     env.run(until=cfg.duration_s + cfg.settle_s)
     sim_wall = perf_counter() - t0
     epochs = max(1, int((cfg.duration_s + cfg.settle_s) // cfg.epoch_s))

@@ -26,12 +26,15 @@ Commands
     on which site, at what committed cost? Site-by-site verdicts include
     the exact solver's second opinion where greedy FFD admission refuses;
     exit 0 iff the manifest fits somewhere.
-``control-demo [--tenants N] [--services N] [--hosts N]``
+``control-demo [--tenants N] [--services N] [--hosts N] [--chrome FILE]``
     Run the multi-tenant control-plane demo: tenants burst-submit services
     against a two-site federation, the plane admits what fits, queues the
     rest fairly, and drains the queue as services are released. A second
     phase deploys an elastic service and shows the causal span chain from
     a KPI publication to the VEE it caused, plus the time-constraint audit.
+    Then the observability report: the span tree and a Prometheus-style
+    metrics dump; ``--chrome``/``--jsonl`` also export Chrome trace-event /
+    JSONL files. Exit 1 if the audit finds a late invocation.
 ``scale [--sites N] [--services M] [--hours H] [--procs P] [--reference]``
     Run the federation scale harness: an N-site federation under the
     control plane, M services with SAP-style session tides, H simulated
@@ -48,10 +51,6 @@ Commands
     deterministic JSON line per cell lands in ``runs/``. ``--list``
     prints the scenario catalogue. Exit 1 if any cell violates an
     invariant.
-``obs-report [--chrome FILE] [--jsonl FILE]``
-    Run the same scenario and print the observability report: the span
-    tree, a Prometheus-style metrics dump, and the §4.2.3 time-constraint
-    audit; optionally export Chrome trace-event / JSONL files.
 ``report <runs/*.jsonl> [--filter k=v] [--metrics a,b,...]``
     Analytics over the experiment corpus: per-run summary tables,
     percentiles, ASCII sparklines per swept parameter, cell-vs-baseline
@@ -325,7 +324,8 @@ def _demo_churn_phase(env, control, args, emit) -> None:
 def _demo_elasticity_phase(env, trace, control, emit):
     """Phase 2: one elastic service whose KPI stream triggers a scale-up —
     the end-to-end causal chain kpi.publish → rule.firing → vm.deploy,
-    audited against the rule's declared time constraint (§4.2.3)."""
+    audited against the rule's declared time constraint (§4.2.3). Returns
+    the audit report."""
     from .core.manifest import ManifestBuilder
     from .monitoring import MonitoringAgent
     from .obs import TimeConstraintAuditor, render_span_tree
@@ -370,18 +370,45 @@ def _demo_elasticity_phase(env, trace, control, emit):
              "kpi.publish span")
     report = TimeConstraintAuditor(trace).audit()
     emit(report.render())
-    return service
+    return report
+
+
+#: Deepest span-tree level ``control-demo`` prints.
+_SPAN_TREE_DEPTH = 6
 
 
 def _cmd_control_demo(args) -> int:
+    import json
+
+    from .obs import (
+        chrome_trace,
+        export_jsonl,
+        prometheus_text,
+        render_span_tree,
+    )
     from .sim import Environment, TraceLog
 
     env = Environment()
     trace = TraceLog(env)
     control = _build_demo_plane(env, trace, args)
     _demo_churn_phase(env, control, args, print)
-    _demo_elasticity_phase(env, trace, control, print)
-    return 0
+    report = _demo_elasticity_phase(env, trace, control, print)
+
+    print(f"\n== span tree ({len(trace.spans)} span(s), "
+          f"{len(trace.records)} record(s)) ==")
+    print(render_span_tree(trace, max_depth=_SPAN_TREE_DEPTH))
+    print("\n== metrics ==")
+    print(prometheus_text(env.metrics))
+    if args.chrome:
+        with open(args.chrome, "w") as fh:
+            json.dump(chrome_trace(trace), fh)
+        print(f"chrome trace written to {args.chrome} "
+              f"(open in chrome://tracing or ui.perfetto.dev)")
+    if args.jsonl:
+        with open(args.jsonl, "w") as fh:
+            export_jsonl(trace, fh)
+        print(f"jsonl trace written to {args.jsonl}")
+    return 0 if report.ok else 1
 
 
 def _cmd_scale(args) -> int:
@@ -477,47 +504,6 @@ def _cmd_experiment(args) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_obs_report(args) -> int:
-    """Run the control-demo scenario and print the observability report:
-    span tree, metrics dump, and the §4.2.3 time-constraint audit."""
-    import json
-
-    from .obs import (
-        TimeConstraintAuditor,
-        chrome_trace,
-        export_jsonl,
-        prometheus_text,
-        render_span_tree,
-    )
-    from .sim import Environment, TraceLog
-
-    env = Environment()
-    trace = TraceLog(env)
-    control = _build_demo_plane(env, trace, args)
-    quiet = lambda *_: None  # noqa: E731 - scenario output is not the report
-    _demo_churn_phase(env, control, args, quiet)
-    _demo_elasticity_phase(env, trace, control, quiet)
-
-    print(f"== span tree ({len(trace.spans)} span(s), "
-          f"{len(trace.records)} record(s)) ==")
-    print(render_span_tree(trace, max_depth=args.depth))
-    print("\n== metrics ==")
-    print(prometheus_text(env.metrics))
-    print("== time-constraint audit (§4.2.3) ==")
-    report = TimeConstraintAuditor(trace).audit()
-    print(report.render())
-    if args.chrome:
-        with open(args.chrome, "w") as fh:
-            json.dump(chrome_trace(trace), fh)
-        print(f"chrome trace written to {args.chrome} "
-              f"(open in chrome://tracing or ui.perfetto.dev)")
-    if args.jsonl:
-        with open(args.jsonl, "w") as fh:
-            export_jsonl(trace, fh)
-        print(f"jsonl trace written to {args.jsonl}")
-    return 0 if report.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -585,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("control-demo",
-                       help="multi-tenant control-plane demo (DESIGN §11)")
+                       help="multi-tenant control-plane demo, then its span "
+                            "tree, metrics and audit (DESIGN §11, §12)")
     p.add_argument("--tenants", type=int, default=4)
     p.add_argument("--services", type=int, default=4,
                    help="services submitted per tenant")
@@ -593,6 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hosts at the larger site")
     p.add_argument("--quota", type=int, default=3,
                    help="max concurrent services per tenant")
+    p.add_argument("--chrome", metavar="FILE", default=None,
+                   help="also write a Chrome trace-event JSON file")
+    p.add_argument("--jsonl", metavar="FILE", default=None,
+                   help="also write records and spans as JSON lines")
     p.set_defaults(func=_cmd_control_demo)
 
     p = sub.add_parser("scale",
@@ -658,25 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: admitted,queued,rejected,peak_vms,"
                         "final_vms,peak_queue_depth)")
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("obs-report",
-                       help="observability report over the control-demo "
-                            "scenario (span tree, metrics, audit — "
-                            "DESIGN §12)")
-    p.add_argument("--tenants", type=int, default=2)
-    p.add_argument("--services", type=int, default=2,
-                   help="services submitted per tenant")
-    p.add_argument("--hosts", type=int, default=3,
-                   help="hosts at the larger site")
-    p.add_argument("--quota", type=int, default=2,
-                   help="max concurrent services per tenant")
-    p.add_argument("--depth", type=int, default=6,
-                   help="max span-tree depth to print")
-    p.add_argument("--chrome", metavar="FILE", default=None,
-                   help="also write a Chrome trace-event JSON file")
-    p.add_argument("--jsonl", metavar="FILE", default=None,
-                   help="also write records and spans as JSON lines")
-    p.set_defaults(func=_cmd_obs_report)
 
     return parser
 

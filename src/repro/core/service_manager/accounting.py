@@ -96,10 +96,5 @@ class ServiceAccountant:
             peak_instances=peak,
         )
 
-    def usage_all(self, start: float,
-                  end: Optional[float] = None) -> dict[str, UsageRecord]:
-        """Per-component usage over one window (tenant reporting helper)."""
-        return {c: self.usage(c, start, end) for c in self.components()}
-
     def components(self) -> list[str]:
         return sorted(self._series)

@@ -109,10 +109,6 @@ class ManagedComponent:
         return sum(1 for vm in self.vms
                    if vm.is_active and vm.vm_id not in self.releasing)
 
-    @property
-    def running_count(self) -> int:
-        return sum(1 for vm in self.vms if vm.state is VMState.RUNNING)
-
 
 _PLACEHOLDER_RE = re.compile(r"\$\{ip\.([A-Za-z0-9_\-]+)\.([A-Za-z0-9_\-]+)\}")
 

@@ -300,10 +300,6 @@ class RuleInterpreter:
                                                  since, until)))
         raise ValueError(f"unknown window operation {op!r}")
 
-    def evaluation_context(self) -> EvaluationContext:
-        """Window-capable bindings over the live store and journal."""
-        return self._context
-
     def _set_hot(self, installed: _InstalledRule, flag: bool) -> None:
         if flag:
             if not installed.hot:

@@ -22,13 +22,18 @@ Everything is deterministic under ``random_seed``: session profiles come
 from :class:`~repro.sim.RandomStreams`, and the kernel replays identically
 (``reference=True`` runs the same workload on the heap oracle kernel).
 
-With ``procs > 1`` the federation is sharded: the coordinator runs the
-*real* control plane to take every admission decision, then partitions the
-sites across a :class:`~repro.sim.ShardPool` of worker processes which
-replay those decisions as pinned submissions and simulate their shards in
-parallel through epoch barriers. Decision outcomes (admission verdicts,
-peak/final fleet, per-site fleet sizes) are identical to ``procs=1`` by
-construction — see DESIGN §14 and :func:`verify_against_oracle`.
+Every process's share of the federation is one ``_Federation``: its sites
+behind one control plane, built, chaos-armed, warmed up (agents, census,
+defrag), audited and finished in one phase order. The single-process run
+is one ``_Federation`` over every site with unpinned submission. With
+``procs > 1`` the federation is sharded: the coordinator runs the *real*
+control plane to take every admission decision, then partitions the sites
+across a :class:`~repro.sim.ShardPool` of worker processes
+(:mod:`.scale_worker`), each a ``_Federation`` over its sites that replays
+those decisions as pinned submissions and simulates in parallel through
+epoch barriers. Decision outcomes (admission verdicts, peak/final fleet,
+per-site fleet sizes) are identical to ``procs=1`` by construction — see
+DESIGN §14 and :func:`verify_against_oracle`.
 """
 
 from __future__ import annotations
@@ -309,20 +314,6 @@ def _scale_manifest(cfg: ScaleConfig):
     return b.build()
 
 
-def _build_site_veem(env: Environment, cfg: ScaleConfig, name: str,
-                     trace) -> VEEM:
-    """One site's VEEM with the configured homogeneous host pool."""
-    timings = HypervisorTimings(define_s=1.0, boot_s=10.0, shutdown_s=2.0)
-    veem = VEEM(env, name=name, trace=trace,
-                repository=ImageRepository(bandwidth_mb_per_s=1000.0))
-    for h in range(cfg.hosts_per_site):
-        veem.add_host(Host(env, f"{name}-h{h}",
-                           cpu_cores=cfg.host_cpu,
-                           memory_mb=cfg.host_memory_mb,
-                           timings=timings))
-    return veem
-
-
 def _session_driver(env, state, profile: SessionProfile, quiet_s: float):
     """Replay one service's session stream.
 
@@ -360,77 +351,6 @@ def _start_session_driver(env, profile: SessionProfile,
     return state
 
 
-def _attach_agent(env, cfg: ScaleConfig, site_manager, service_id: str,
-                  state: dict) -> MonitoringAgent:
-    agent = MonitoringAgent(env, service_id=service_id, component="app",
-                            network=site_manager.network)
-    agent.expose(SESSIONS_KPI, lambda s=state: s["sessions"],
-                 frequency_s=cfg.monitor_period_s, units="sessions")
-    return agent
-
-
-def _vm_census(env, veems, samples: list, period_s: float):
-    """Periodic live-VM census across the given sites.
-
-    Samples are offset by half a period from the census start so they
-    fall *between* event instants (VM transitions cluster on the monitor
-    grid): the count at each sample time is then independent of
-    same-instant event ordering, which is what lets sharded and
-    single-process runs agree sample-for-sample. The count itself is the
-    O(1) :attr:`~repro.cloud.vmtable.VMTable.active_count` column
-    aggregate, not a fleet scan.
-    """
-    yield env.timeout(period_s / 2.0)
-    while True:
-        total = 0
-        for veem in veems:
-            total += veem.table.active_count
-        samples.append((env.now, total))
-        yield env.timeout(period_s)
-
-
-def _peak_of(samples: list) -> int:
-    return max((total for _t, total in samples), default=0)
-
-
-def _start_defrag(env, cfg: ScaleConfig, veems, stats: Optional[list] = None):
-    """Periodic per-site defragmentation passes (``--defrag-every H``).
-
-    Each site plans (:func:`repro.solver.defrag.plan_defrag`) and executes
-    its own migration batch, one site after another within the process so
-    the whole pass is deterministic; with admissions all decided at t=0
-    and MIGRATING VMs still counted active, the passes are invisible to
-    the sharded-vs-oracle decision comparison — workers and oracle run
-    the identical per-site plans.
-    """
-    if cfg.defrag_every_h <= 0:
-        return None
-    from ..solver.defrag import execute_plan, plan_defrag
-
-    def pass_loop():
-        # Quarter-period offset: plan *between* monitor instants (like the
-        # census's half-period offset) so a plan never races a same-instant
-        # scale event whose ordering could differ between the oracle's
-        # all-site environment and a shard's subset environment.
-        period_s = cfg.defrag_every_h * 3600.0
-        yield env.timeout(cfg.sample_period_s / 4.0)
-        while True:
-            yield env.timeout(period_s)
-            moved = 0
-            # Plan every site at this same instant (planning is synchronous,
-            # execution runs as per-site processes): a site's plan is a pure
-            # function of its own state, never of another site's progress.
-            for veem in veems:
-                plan = plan_defrag(veem)
-                if plan:
-                    moved += len(plan.steps)
-                    execute_plan(veem, plan)
-            if stats is not None:
-                stats.append((env.now, moved))
-
-    return env.process(pass_loop(), name="defrag-pass")
-
-
 # ---------------------------------------------------------------------------
 # Admission planning (shared: the single-process run *is* the plan)
 # ---------------------------------------------------------------------------
@@ -458,31 +378,184 @@ def _register_tenants(control: ControlPlane, cfg: ScaleConfig) -> None:
         control.register_tenant(f"tenant-{t}", weight=1 + t % 3)
 
 
-def _draw_profiles(cfg: ScaleConfig, admitted_requests) -> list[SessionProfile]:
-    """Draw every admitted service's profile through the workload-generator
-    registry (:mod:`repro.scenarios.workloads`). Drawn centrally, in
-    admission order, from one seeded stream — the determinism contract
-    that makes sharded runs replay the identical workload."""
-    return draw_profiles(cfg, admitted_requests)
+# ---------------------------------------------------------------------------
+# One process's share of the federation (the single-process run, and each
+# shard worker via :mod:`.scale_worker`)
+# ---------------------------------------------------------------------------
 
+class _Federation:
+    """One process's share of a scale run: the given sites (hosts
+    included) behind one control plane, with the flight recorder, the
+    census samples and the span-id audit cursor.
 
-def _install_chaos(env, cfg: ScaleConfig, site_names, veems,
-                   control: Optional[ControlPlane] = None,
-                   managers_by_site: Optional[dict] = None) -> None:
-    """Install the config's chaos events against the given sites (the
-    shard-local subset under ``procs > 1``). Must run before the warm-up
-    advance so event timers share the single-process epoch."""
-    if not cfg.chaos:
-        return
-    veems_by_site = dict(zip(site_names, veems))
-    owned = set(site_names)
-    local = [restricted for event in cfg.chaos
-             if (restricted := restrict_event(event, owned)) is not None]
-    if not local:
-        return
-    trace = control.trace if control is not None else veems[0].trace
-    install_chaos(env, local, veems_by_site=veems_by_site, control=control,
-                  managers_by_site=managers_by_site, trace=trace)
+    Both execution paths drive it through the same phases, in the order
+    sharded-vs-oracle parity depends on (DESIGN §14): construct (sites,
+    tenants, then the chaos schedule, before any kernel advance), submit
+    and start the session drivers (the caller's part: unpinned in the
+    single-process run, the pinned replay in a worker), :meth:`warm_up`,
+    advance ``env`` (auditing between epochs in a worker), :meth:`finish`.
+    """
+
+    def __init__(self, cfg: ScaleConfig, site_names):
+        self.cfg = cfg
+        self.site_names = tuple(site_names)
+        self.env = env = Environment(reference=cfg.reference)
+        self.control = control = ControlPlane(env)
+        self.recorder = (FlightRecorder(control.trace, cfg.flight_recorder)
+                         if cfg.flight_recorder > 0 else None)
+        timings = HypervisorTimings(define_s=1.0, boot_s=10.0, shutdown_s=2.0)
+        self.veems = []
+        for name in self.site_names:
+            veem = VEEM(env, name=name, trace=control.trace,
+                        repository=ImageRepository(bandwidth_mb_per_s=1000.0))
+            for h in range(cfg.hosts_per_site):
+                veem.add_host(Host(env, f"{name}-h{h}",
+                                   cpu_cores=cfg.host_cpu,
+                                   memory_mb=cfg.host_memory_mb,
+                                   timings=timings))
+            self.veems.append(veem)
+            control.add_site(name, veem)
+        _register_tenants(control, cfg)
+        self._install_chaos()
+        #: (time, live VMs) per census tick, on the grid every process shares
+        self.samples: list = []
+        #: late-invocation strings from every :meth:`audit` so far
+        self.late: list[str] = []
+        self._audit_cursor = 0
+
+    def _install_chaos(self) -> None:
+        """Install the config's chaos events restricted to this process's
+        sites. Must run before any kernel advance: chaos delays are
+        relative to install time, so they line up with the oracle's only
+        when every process installs at t=0."""
+        owned = set(self.site_names)
+        local = [restricted for event in self.cfg.chaos
+                 if (restricted := restrict_event(event, owned)) is not None]
+        if not local:
+            return
+        control = self.control
+        install_chaos(self.env, local,
+                      veems_by_site=dict(zip(self.site_names, self.veems)),
+                      control=control,
+                      managers_by_site={cs.name: cs.manager
+                                        for cs in control.sites},
+                      trace=control.trace)
+
+    def warm_up(self, requests, states) -> None:
+        """Deploy the initial fleet, then wire one monitoring agent per
+        admitted service (so its KPI stream flows through its site's
+        monitoring network) and start the census and defrag passes on
+        the shared grid. ``states`` are the session drivers' states, one
+        per request."""
+        env, cfg = self.env, self.cfg
+        env.run(until=WARMUP_S)
+        managers = {cs.name: cs.manager for cs in self.control.sites}
+        for request, state in zip(requests, states):
+            if request.service is None:
+                continue
+            agent = MonitoringAgent(env, service_id=request.service_id,
+                                    component="app",
+                                    network=managers[request.site].network)
+            agent.expose(SESSIONS_KPI, lambda s=state: s["sessions"],
+                         frequency_s=cfg.monitor_period_s, units="sessions")
+        env.every(cfg.sample_period_s / 2.0, self._census)
+        if cfg.defrag_every_h > 0:
+            self._start_defrag()
+
+    def _census(self) -> float:
+        """Live-VM census across this process's sites.
+
+        Ticks are offset by half a period from the warm-up so they fall
+        *between* event instants (VM transitions cluster on the monitor
+        grid): the count at each tick is then independent of same-instant
+        event ordering, which is what lets sharded and single-process runs
+        agree sample-for-sample. The count itself is the O(1)
+        :attr:`~repro.cloud.vmtable.VMTable.active_count` column aggregate,
+        not a fleet scan.
+        """
+        total = 0
+        for veem in self.veems:
+            total += veem.table.active_count
+        self.samples.append((self.env.now, total))
+        return self.cfg.sample_period_s
+
+    def _start_defrag(self) -> None:
+        """Periodic per-site defragmentation passes (``--defrag-every H``).
+
+        Each site plans (:func:`repro.solver.defrag.plan_defrag`) and
+        executes its own migration batch, one site after another, so the
+        whole pass is deterministic; a site's plan is a pure function of
+        its own state, so workers and oracle run the identical per-site
+        plans. With admissions all decided at t=0 and MIGRATING VMs still
+        counted active, the passes are invisible to the sharded-vs-oracle
+        decision comparison.
+        """
+        from ..solver.defrag import execute_plan, plan_defrag
+
+        period_s = self.cfg.defrag_every_h * 3600.0
+        offset_landed = False
+
+        def defrag_pass() -> float:
+            nonlocal offset_landed
+            if offset_landed:
+                # Planning is synchronous and execution runs as per-site
+                # processes, so every site plans at this same instant.
+                for veem in self.veems:
+                    plan = plan_defrag(veem)
+                    if plan:
+                        execute_plan(veem, plan)
+            offset_landed = True
+            return period_s
+
+        # The first tick only lands the quarter-period offset: passes run
+        # *between* monitor instants (like the census's half-period offset)
+        # so a plan never races a same-instant scale event whose ordering
+        # could differ between the oracle's all-site environment and a
+        # shard's subset environment.
+        self.env.every(self.cfg.sample_period_s / 4.0, defrag_pass)
+
+    def audit(self) -> list:
+        """§4.2.3 time-constraint audit of the rule firings closed since
+        the last call, exactly once: firings open and close within one
+        dispatch, so every firing visible here is final, and the span-id
+        cursor never re-audits one. The union across calls equals a single
+        end-of-run audit. Bumps ``obs.audit.firings``/``.violations``."""
+        trace = self.control.trace
+        report = TimeConstraintAuditor(trace).audit(
+            min_span_id=self._audit_cursor)
+        if trace.spans:
+            self._audit_cursor = max(trace.spans) + 1
+        late = audit_violation_strings(report.findings)
+        self.late.extend(late)
+        metrics = self.env.metrics
+        metrics.counter("obs.audit.firings").inc(len(report.findings))
+        metrics.counter("obs.audit.violations").inc(len(late))
+        return report.findings
+
+    def finish(self) -> tuple[list, tuple, tuple]:
+        """End of run: the residual audit, then the invariant sweep (when
+        configured; its violation tally lands in the registry), then the
+        flight snapshot if either found a problem. Returns ``(findings,
+        violations, flight)``; take the metric snapshot after this so
+        every increment ships."""
+        findings = self.audit()
+        violations: tuple = ()
+        if self.cfg.check_invariants:
+            violations = tuple(
+                str(v) for v in check_all(self.control, self.veems,
+                                          self.control.trace,
+                                          metrics=self.env.metrics))
+        flight: tuple = ()
+        if self.recorder is not None:
+            if violations or self.late:
+                flight = self.recorder.snapshot()
+            self.recorder.close()
+        return findings, violations, flight
+
+    def site_fleets(self) -> tuple:
+        """``(site, active VMs)`` per owned site, in site order."""
+        return tuple((name, veem.table.active_count)
+                     for name, veem in zip(self.site_names, self.veems))
 
 
 # ---------------------------------------------------------------------------
@@ -492,91 +565,45 @@ def _install_chaos(env, cfg: ScaleConfig, site_names, veems,
 def _run_scale_single(cfg: ScaleConfig, say,
                       profiler=None) -> ScaleReport:
     wall_start = time.perf_counter()
-    env = Environment(reference=cfg.reference)
+    say(f"building {cfg.sites} site(s) × {cfg.hosts_per_site} host(s) ...")
+    fed = _Federation(cfg, [f"site-{s}" for s in range(cfg.sites)])
+    env = fed.env
     if profiler is not None:
         profiler.attach(env)
-    control = ControlPlane(env)
-    recorder = (FlightRecorder(control.trace, cfg.flight_recorder)
-                if cfg.flight_recorder > 0 else None)
 
-    say(f"building {cfg.sites} site(s) × {cfg.hosts_per_site} host(s) ...")
-    veems = []
-    site_names = [f"site-{s}" for s in range(cfg.sites)]
-    for name in site_names:
-        veem = _build_site_veem(env, cfg, name, control.trace)
-        veems.append(veem)
-        control.add_site(name, veem)
-    _register_tenants(control, cfg)
-    _install_chaos(env, cfg, site_names, veems, control=control,
-                   managers_by_site={cs.name: cs.manager
-                                     for cs in control.sites})
-
-    manifest = _scale_manifest(cfg)
     say(f"submitting {cfg.services} service(s) "
         f"across {cfg.tenants} tenant(s) ...")
     admitted_requests, admitted, queued, rejected = _submit_all(
-        control, cfg, manifest)
-
+        fed.control, cfg, _scale_manifest(cfg))
     # Session tides: every service gets one burst; a seeded fraction bursts
     # past the scale-up threshold and grows its app tier until the tide
-    # drains. Profiles are drawn deterministically from the seeded stream.
-    profiles = _draw_profiles(cfg, admitted_requests)
+    # drains. Profiles are drawn centrally, in admission order, from one
+    # seeded stream — the determinism contract sharded runs replay.
     states = [_start_session_driver(env, profile, cfg)
-              for profile in profiles]
+              for profile in draw_profiles(cfg, admitted_requests)]
 
     say("deploying and wiring monitoring agents ...")
-    # Let the initial fleet deploy, then attach one agent per service so
-    # the KPI stream flows through each site's monitoring network.
-    env.run(until=WARMUP_S)
-    site_by_name = {s.name: s for s in control.sites}
-    for request, state in zip(admitted_requests, states):
-        if request.service is None:
-            continue
-        site = site_by_name[request.site]
-        _attach_agent(env, cfg, site.manager, request.service_id, state)
-
-    samples: list = []
-    env.process(_vm_census(env, veems, samples, cfg.sample_period_s),
-                name="vm-census")
-    _start_defrag(env, cfg, veems)
+    fed.warm_up(admitted_requests, states)
 
     say(f"running {cfg.hours:g} simulated hour(s) ...")
     env.run(until=cfg.duration_s + cfg.settle_s)
 
-    violations: tuple = ()
     if cfg.check_invariants:
         say("checking invariants ...")
-        violations = tuple(str(v) for v in
-                           check_all(control, veems, control.trace,
-                                     metrics=env.metrics))
-
-    # §4.2.3 time-constraint audit + the canonical metric view. Same
-    # counters, in the same order, as the sharded workers increment —
-    # the audit/invariant tallies land in the registry *before* the view
-    # is built, exactly as worker snapshots are taken after both.
-    audit_report = TimeConstraintAuditor(control.trace).audit()
-    audit_violations = tuple(audit_violation_strings(audit_report.findings))
-    env.metrics.counter("obs.audit.firings").inc(len(audit_report.findings))
-    env.metrics.counter("obs.audit.violations").inc(len(audit_violations))
+    # One cursor audit from span 0 is the full audit; its counters land in
+    # the registry before the view is built, as worker snapshots are taken
+    # after theirs.
+    findings, violations, flight = fed.finish()
     metrics_view = canonical_view(env.metrics)
 
-    flight: tuple = ()
-    if recorder is not None:
-        if violations or audit_violations:
-            flight = recorder.snapshot()
-        recorder.close()
-
     wall_s = time.perf_counter() - wall_start
-    depth_series = control.series["queue.depth"]
-    site_fleets = tuple(
-        (f"site-{s}", veems[s].table.active_count)
-        for s in range(cfg.sites))
+    site_fleets = fed.site_fleets()
     return ScaleReport(
         sites=cfg.sites, services=cfg.services, hours=cfg.hours,
         reference=cfg.reference,
         admitted=admitted, queued=queued, rejected=rejected,
-        peak_vms=_peak_of(samples),
-        peak_queue_depth=int(depth_series.maximum()),
+        peak_vms=max((total for _t, total in fed.samples), default=0),
+        peak_queue_depth=int(fed.control.series["queue.depth"].maximum()),
         events_processed=env.events_processed,
         dead_skipped=env.dead_skipped,
         wall_s=wall_s, peak_rss_kb=int(read_peak_rss_kb()),
@@ -585,8 +612,8 @@ def _run_scale_single(cfg: ScaleConfig, say,
         site_fleets=site_fleets,
         violations=violations,
         metrics=metrics_view,
-        audit_findings=len(audit_report.findings),
-        audit_violations=audit_violations,
+        audit_findings=len(findings),
+        audit_violations=tuple(fed.late),
         flight=flight,
     )
 
@@ -623,7 +650,7 @@ def _run_scale_sharded(cfg: ScaleConfig, say) -> ScaleReport:
     manifest = _scale_manifest(cfg)
     admitted_requests, admitted, queued, rejected = _submit_all(
         plan_control, cfg, manifest)
-    profiles = _draw_profiles(cfg, admitted_requests)
+    profiles = draw_profiles(cfg, admitted_requests)
     depth_series = plan_control.series["queue.depth"]
 
     # Phase 2 — partition sites round-robin and ship each shard its pinned
@@ -674,14 +701,14 @@ def _run_scale_sharded(cfg: ScaleConfig, say) -> ScaleReport:
     flight_records: list = []
     for report in finals:
         events_processed += report.events_processed
-        dead_skipped += report.payload.get("dead_skipped", 0)
+        dead_skipped += report.payload["dead_skipped"]
         workers_rss_kb += report.peak_rss_kb
         fold_telemetry(report)
         for t, total in report.payload["samples"]:
             merged[t] = merged.get(t, 0) + total
         fleet_by_site.update(report.payload["site_fleets"])
-        violations.extend(report.payload.get("violations", ()))
-        for rec in report.payload.get("flight", ()):
+        violations.extend(report.payload["violations"])
+        for rec in report.payload["flight"]:
             flight_records.append(dict(rec, shard=report.shard))
     flight_records.sort(key=lambda r: (r["time"], r["shard"]))
     peak_vms = max(merged.values(), default=0)

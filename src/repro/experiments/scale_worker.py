@@ -1,17 +1,21 @@
 """Shard worker for the sharded scale harness (spawn-safe module).
 
-Each worker process owns one shard of the federation: it rebuilds its
-sites (hosts included), replays the coordinator's admission decisions as
-*pinned* submissions through a local :class:`~repro.control.ControlPlane`,
-drives the shipped session profiles, and advances its private kernel
-between epoch barriers. Everything here is module-level and every spec
-field is picklable — the ``spawn`` start method imports this module fresh
-in the child.
+Each worker process owns one shard of the federation: a
+:class:`~repro.experiments.scale._Federation` over its sites (hosts
+included), the same object the single-process run drives, so both paths
+build, warm up, audit and finish in one phase order. What the worker adds
+is the pinned replay of the coordinator's admission decisions through
+its local :class:`~repro.control.ControlPlane`, the telemetry baseline
+that keeps those replayed submissions out of the shipped metric deltas,
+and the epoch API the coordinator advances it with. Everything here is
+module-level and every spec field is picklable — the ``spawn`` start
+method imports this module fresh in the child.
 
 A pinned replay that does not come back :class:`~repro.control.Admitted`
 is an oracle divergence (the worker's per-site admission state no longer
 matches the coordinator's plan) and raises immediately — surfaced to the
-coordinator as a :class:`~repro.sim.ShardError`.
+coordinator as a :class:`~repro.sim.ShardError`. A worker that fails
+mid-run dumps its flight recorder first and names the dump in the error.
 """
 
 from __future__ import annotations
@@ -20,23 +24,15 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from ..control import Admitted, ControlPlane
-from ..obs.audit import TimeConstraintAuditor, audit_violation_strings
+from ..control import Admitted
 from ..obs.metrics import SnapshotCursor
-from ..obs.recorder import FlightRecorder
-from ..scenarios.invariants import check_all
-from ..sim import Environment, EpochReport, read_peak_rss_kb
+from ..sim import EpochReport, read_peak_rss_kb
 from .scale import (
-    WARMUP_S,
     ScaleConfig,
     SessionProfile,
-    _attach_agent,
-    _build_site_veem,
-    _install_chaos,
+    _Federation,
     _scale_manifest,
-    _start_defrag,
     _start_session_driver,
-    _vm_census,
 )
 
 __all__ = ["ShardSpec", "ScaleShard", "make_shard"]
@@ -55,33 +51,25 @@ class ShardSpec:
 
 
 class ScaleShard:
-    """One shard's private simulation, driven through epoch barriers."""
+    """One shard's private simulation, driven through epoch barriers: a
+    :class:`~repro.experiments.scale._Federation` over the shard's sites,
+    fed by the pinned replay instead of unpinned submission."""
 
     def __init__(self, spec: ShardSpec):
         self.spec = spec
         cfg = spec.cfg
-        self.env = Environment(reference=cfg.reference)
-        self.control = ControlPlane(self.env)
-        self.recorder = (
-            FlightRecorder(self.control.trace, cfg.flight_recorder)
-            if cfg.flight_recorder > 0 else None)
-        self.veems = []
-        for name in spec.site_names:
-            veem = _build_site_veem(self.env, cfg, name, self.control.trace)
-            self.veems.append(veem)
-            self.control.add_site(name, veem)
-        for t in range(cfg.tenants):
-            self.control.register_tenant(f"tenant-{t}", weight=1 + t % 3)
+        self.fed = fed = _Federation(cfg, spec.site_names)
+        self.env = fed.env
 
         # Pinned replay of the coordinator's admission decisions. Per-site
         # admission state sees the same manifests in the same order as the
         # coordinator's global pass restricted to this shard, so every
         # replay must admit; anything else is an oracle divergence.
         manifest = _scale_manifest(cfg)
-        self.requests = []
-        self.states = []
+        requests = []
+        states = []
         for profile in spec.profiles:
-            outcome = self.control.submit(
+            outcome = fed.control.submit(
                 profile.tenant, manifest,
                 service_id=profile.service_id, site=profile.site)
             if not isinstance(outcome, Admitted):
@@ -89,77 +77,30 @@ class ScaleShard:
                     f"shard {spec.shard}: pinned replay of "
                     f"{profile.service_id} on {profile.site} was not "
                     f"admitted: {outcome!r}")
-            self.requests.append(outcome.request)
-            self.states.append(_start_session_driver(self.env, profile, cfg))
+            requests.append(outcome.request)
+            states.append(_start_session_driver(self.env, profile, cfg))
 
         # Telemetry baseline: the pinned replay just re-incremented the
         # submission counters the coordinator's planning registry already
         # holds, so the first (discarded) snapshot excludes them from every
-        # shipped delta. Taken before chaos install and warm-up — those
-        # run in the coordinator-free part of the timeline and must ship.
+        # shipped delta. Taken before the warm-up — it runs in the
+        # coordinator-free part of the timeline and must ship.
         self._cursor = SnapshotCursor()
         self._cursor.snapshot(self.env.metrics)
-        self._audit_cursor = 0
-        self._audit_violated = False
-
-        # Chaos must be installed before any kernel advance so its delays
-        # line up with the oracle's (timeouts are relative to install time).
-        # Events are restricted to this shard's sites inside the helper.
-        _install_chaos(
-            self.env, cfg, spec.site_names, self.veems,
-            control=self.control,
-            managers_by_site={cs.name: cs.manager
-                              for cs in self.control.sites})
-
-        # Same warm-up as the oracle: deploy the initial fleet, then wire
-        # the monitoring agents and start the census on the shared grid.
-        self.env.run(until=WARMUP_S)
-        site_by_name = {s.name: s for s in self.control.sites}
-        for profile, request, state in zip(spec.profiles, self.requests,
-                                           self.states):
-            if request.service is None:
-                continue
-            site = site_by_name[profile.site]
-            _attach_agent(self.env, cfg, site.manager,
-                          profile.service_id, state)
-        self.samples: list = []
-        self.env.process(
-            _vm_census(self.env, self.veems, self.samples,
-                       cfg.sample_period_s),
-            name=f"vm-census:shard-{spec.shard}")
-        # Same defrag cadence as the oracle: each site's pass is a pure
-        # function of its own state, so shard and oracle plans coincide.
-        _start_defrag(self.env, cfg, self.veems)
-
-    def _audit_epoch(self) -> tuple:
-        """Audit the rule firings closed since the last barrier, exactly
-        once: firings open and close within one dispatch, so every firing
-        visible here is final, and the span-id cursor never re-audits one.
-        The union across epochs equals a single end-of-run audit."""
-        report = TimeConstraintAuditor(self.control.trace).audit(
-            min_span_id=self._audit_cursor)
-        spans = self.control.trace.spans
-        if spans:
-            self._audit_cursor = max(spans) + 1
-        late = audit_violation_strings(report.findings)
-        if late:
-            self._audit_violated = True
-        metrics = self.env.metrics
-        metrics.counter("obs.audit.firings").inc(len(report.findings))
-        metrics.counter("obs.audit.violations").inc(len(late))
-        return tuple(report.findings)
+        fed.warm_up(requests, states)
 
     def _crash_dump(self, exc: BaseException):
         """Dump the flight ring before the traceback crosses the pipe; the
         dump path rides in the chained error so the coordinator's
         ShardError names it."""
-        if self.recorder is None:
+        recorder = self.fed.recorder
+        if recorder is None:
             raise exc
         path = os.path.join(
             tempfile.gettempdir(),
             f"repro-flight-shard{self.spec.shard}-pid{os.getpid()}.jsonl")
         try:
-            self.recorder.dump(path, reason=repr(exc))
+            recorder.dump(path, reason=repr(exc))
         except OSError:
             raise exc from None
         raise RuntimeError(
@@ -169,7 +110,7 @@ class ScaleShard:
     def run_epoch(self, until: float) -> EpochReport:
         try:
             self.env.run(until=until)
-            findings = self._audit_epoch()
+            findings = self.fed.audit()
             snapshot = self._cursor.snapshot(self.env.metrics)
         except Exception as exc:
             self._crash_dump(exc)
@@ -180,41 +121,22 @@ class ScaleShard:
 
     def finish(self) -> EpochReport:
         try:
-            return self._finish()
+            findings, violations, flight = self.fed.finish()
+            snapshot = self._cursor.snapshot(self.env.metrics)
         except Exception as exc:
             self._crash_dump(exc)
-
-    def _finish(self) -> EpochReport:
-        # Residual firings since the last epoch barrier, then invariants
-        # (their violation tally lands in the registry), then the metric
-        # snapshot LAST so every increment ships.
-        findings = self._audit_epoch()
-        site_fleets = [
-            (name, veem.table.active_count)
-            for name, veem in zip(self.spec.site_names, self.veems)
-        ]
-        payload = {
-            "samples": self.samples,
-            "site_fleets": site_fleets,
-            "dead_skipped": self.env.dead_skipped,
-        }
-        violations: list = []
-        if self.spec.cfg.check_invariants:
-            violations = [
-                str(v) for v in check_all(self.control, self.veems,
-                                          self.control.trace,
-                                          metrics=self.env.metrics)]
-            payload["violations"] = violations
-        if self.recorder is not None and (violations
-                                          or self._audit_violated):
-            payload["flight"] = self.recorder.snapshot()
         return EpochReport(
             shard=self.spec.shard, now=self.env.now,
             events_processed=self.env.events_processed,
             peak_rss_kb=read_peak_rss_kb(),
-            metrics=self._cursor.snapshot(self.env.metrics),
-            findings=findings,
-            payload=payload)
+            metrics=snapshot, findings=findings,
+            payload={
+                "samples": self.fed.samples,
+                "site_fleets": self.fed.site_fleets(),
+                "dead_skipped": self.env.dead_skipped,
+                "violations": violations,
+                "flight": flight,
+            })
 
 
 def make_shard(spec: ShardSpec) -> ScaleShard:

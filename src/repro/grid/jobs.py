@@ -86,14 +86,6 @@ class Job:
         if self.on_complete is not None and not self.on_complete.triggered:
             self.on_complete.succeed(self)
 
-    def mark_failed(self, env: Environment, reason: str = "") -> None:
-        self.state = JobState.FAILED
-        self.completed_at = env.now
-        if self.on_complete is not None and not self.on_complete.triggered:
-            self.on_complete.fail(RuntimeError(
-                f"job {self.job_id} failed: {reason or 'unknown'}"
-            ))
-
     def requeue(self) -> None:
         """Return an evicted job to the idle state for re-matching."""
         self.state = JobState.IDLE

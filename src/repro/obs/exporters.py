@@ -15,7 +15,7 @@ Three audiences, three formats:
   samples.
 
 ``render_span_tree`` is the human-facing view: the causal tree indented by
-depth, used by ``python -m repro obs-report``.
+depth, used by ``python -m repro control-demo``.
 """
 
 from __future__ import annotations

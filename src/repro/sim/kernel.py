@@ -176,12 +176,6 @@ class Event:
         self.env._schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Chain: trigger this event with the state of another event."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self)
-
     def cancel(self) -> None:
         """Abandon the event: mark it dead so the drain loop can skip it.
 
@@ -373,8 +367,6 @@ class Process(Event):
             if not event._ok:
                 event.defused = True
             return
-        env = self.env
-        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -414,8 +406,6 @@ class Process(Event):
                 break
             # Event already processed: loop and deliver its value at once.
             event = next_event
-
-        env._active_process = None
 
     def _finish(self, ok: bool, value: Any) -> None:
         self._target = None
@@ -592,8 +582,7 @@ class Environment:
 
     __slots__ = ("_now", "_buckets", "_urgent", "_times", "_live_n",
                  "_live_u", "_draining", "_events_done", "_dead_skipped",
-                 "_active_process", "_metrics", "_obs_scope", "_profile_cb",
-                 "timeout")
+                 "_metrics", "_obs_scope", "_profile_cb", "timeout")
 
     def __new__(cls, initial_time: float = 0.0, reference: bool = False):
         if reference and cls is Environment:
@@ -617,7 +606,6 @@ class Environment:
         #: Events dispatched so far; flushed per batch during a drain.
         self._events_done = 0
         self._dead_skipped = 0
-        self._active_process: Optional[Process] = None
         #: Lazily-built metrics registry (one per environment); see
         #: :attr:`metrics`.
         self._metrics: Optional[Any] = None
@@ -640,10 +628,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     @property
     def reference(self) -> bool:

@@ -32,11 +32,6 @@ class Item:
     cpu: float
     memory_mb: float
 
-    @property
-    def shape_key(self) -> tuple:
-        """Items with equal shape keys are interchangeable for search."""
-        return (self.component, self.service_id, self.cpu, self.memory_mb)
-
 
 @dataclass
 class HostView:
@@ -76,12 +71,6 @@ class ModelConstraints:
     caps: tuple = ()                # (component, cap)
     #: host attribute must equal the value for ``component``
     attribute_requirements: tuple = ()  # (component, attribute, value)
-
-    def cap_for(self, component: str) -> Optional[int]:
-        for comp, cap in self.caps:
-            if comp == component:
-                return cap
-        return None
 
 
 @dataclass

@@ -137,10 +137,11 @@ def test_control_demo(capsys):
     assert "-> PASS" in out
 
 
-def test_obs_report(tmp_path, capsys):
+def test_control_demo_observability_report(tmp_path, capsys):
     chrome = tmp_path / "trace.json"
     jsonl = tmp_path / "trace.jsonl"
-    assert main(["obs-report", "--chrome", str(chrome),
+    assert main(["control-demo", "--tenants", "2", "--services", "2",
+                 "--hosts", "3", "--quota", "2", "--chrome", str(chrome),
                  "--jsonl", str(jsonl)]) == 0
     out = capsys.readouterr().out
     assert "== span tree" in out

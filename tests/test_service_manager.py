@@ -488,6 +488,46 @@ def test_reconfigure_through_rule_action():
     assert db_vm.descriptor.cpu == 2
 
 
+def _rebalanced_service(n_hosts):
+    """A deployed one-VM service whose overloaded KPI enables a
+    ``migrateVM`` rule; returns (env, service, its VM) before evaluation."""
+    b = ManifestBuilder("svc")
+    b.component("db", image_mb=100, cpu=1, memory_mb=1024)
+    b.kpi("DB", "db", "db.load.level", default=0)
+    b.rule("rebalance", "@db.load.level > 90", "migrateVM(db)",
+           cooldown_s=1e9)
+    env = Environment()
+    sm = ServiceManager(env, make_veem(env, n_hosts=n_hosts))
+    service = sm.deploy(b.build())
+    env.run(until=service.deployment)
+    service.interpreter.notify(
+        Measurement("db.load.level", service.service_id, "p", env.now, (95,)))
+    return env, service, service.lifecycle.components["db"].vms[0]
+
+
+def test_migrate_through_rule_action():
+    env, service, db_vm = _rebalanced_service(n_hosts=4)
+    source = db_vm.host
+    firings = service.interpreter.evaluate_rules()
+    assert [f.actions_run for f in firings] == [1]
+    env.run(until=env.now + 600)
+    assert db_vm.host is not source
+    assert db_vm.state is VMState.RUNNING
+
+
+def test_migrate_action_refused_on_a_single_host():
+    env, service, db_vm = _rebalanced_service(n_hosts=1)
+    source = db_vm.host
+    # the rule is enabled, but its only action refuses: no firing, and the
+    # firing span closes suppressed
+    assert service.interpreter.evaluate_rules() == []
+    [span] = service.interpreter.trace.find_spans(kind="rule.firing")
+    assert span.status == "suppressed"
+    env.run(until=env.now + 600)
+    assert db_vm.host is source
+    assert db_vm.state is VMState.RUNNING
+
+
 def test_builtin_time_kpis():
     """§4.2.1: "the current time can be introduced as a monitorable
     parameter if necessary" — rules can gate on simulated wall time."""
