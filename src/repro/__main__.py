@@ -613,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the --procs 1 oracle and fail on any "
                         "decision-outcome divergence")
     p.add_argument("--profile", metavar="FILE", default=None,
-                   help="attach the sim-time profiler and write a "
+                   help="sample per-layer CPU time and write a "
                         "Chrome-trace JSON (--procs 1 only)")
     p.set_defaults(func=_cmd_scale)
 

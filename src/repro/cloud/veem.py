@@ -25,7 +25,6 @@ from .network import NetworkFabric
 from .placement import Placer
 from .veeh import Host
 from .vm import DeploymentDescriptor, VirtualMachine, VMState
-from .vmtable import VMTable
 
 __all__ = ["VEEM"]
 
@@ -53,10 +52,9 @@ class VEEM:
         self.networks = NetworkFabric()
         self._vm_seq = itertools.count(1)
         self.vms: dict[str, VirtualMachine] = {}
-        #: struct-of-arrays fleet bookkeeping (cpu/memory/state columns
-        #: keyed by dense VM index) — census and component scans read the
-        #: columns instead of chasing VM objects
-        self.table = VMTable()
+        #: VMs submitted here and not yet STOPPED or FAILED, kept up to date
+        #: by ``VirtualMachine.transition`` — the O(1) census read
+        self.active_vm_count = 0
         # Registry-owned operation counters (these paths are not hot — a VM
         # operation costs simulated seconds) plus views over the placer's
         # plain tallies.
@@ -94,20 +92,20 @@ class VEEM:
     def active_vms(self, *, service_id: Optional[str] = None,
                    component_id: Optional[str] = None
                    ) -> list[VirtualMachine]:
-        return self.table.active_vms(service_id=service_id,
-                                     component_id=component_id)
+        """Active VMs in submission order, optionally filtered."""
+        return [vm for vm in self.vms.values()
+                if vm.is_active
+                and (service_id is None
+                     or vm.descriptor.service_id == service_id)
+                and (component_id is None
+                     or vm.descriptor.component_id == component_id)]
 
     def running_vms(self, *, service_id: Optional[str] = None,
                     component_id: Optional[str] = None
                     ) -> list[VirtualMachine]:
-        return self.table.active_vms(service_id=service_id,
-                                     component_id=component_id,
-                                     running_only=True)
-
-    @property
-    def active_vm_count(self) -> int:
-        """Live fleet size, O(1) off the table's incremental counter."""
-        return self.table.active_count
+        return [vm for vm in self.active_vms(service_id=service_id,
+                                             component_id=component_id)
+                if vm.state is VMState.RUNNING]
 
     # ------------------------------------------------------------------
     # Operations (the interface elasticity actions are expressed against)
@@ -143,7 +141,8 @@ class VEEM:
         span.details["host"] = host.name
         self._m_submitted.inc()
         self.vms[vm_id] = vm
-        self.table.add(vm)
+        vm._veem = self
+        self.active_vm_count += 1
         self.trace.emit_in(span, self.name, "vm.submit", vm=vm_id,
                            component=descriptor.component_id,
                            service=descriptor.service_id, host=host.name)
@@ -269,7 +268,7 @@ class VEEM:
         """
         if count < 0:
             raise ValueError("preempt count must be non-negative")
-        active = [vm for vm in self.vms.values() if vm.is_active]
+        active = self.active_vms()
         if newest_first:
             active.reverse()
         victims = active[:count]
@@ -389,4 +388,4 @@ class VEEM:
 
     def __repr__(self) -> str:
         return (f"<VEEM {self.name} hosts={len(self.hosts)} "
-                f"active_vms={self.table.active_count}>")
+                f"active_vms={self.active_vm_count}>")

@@ -127,11 +127,10 @@ class VirtualMachine:
         #: VEE back to whatever caused it (a rule firing, a control-plane
         #: request, or nothing when deployed directly)
         self.span: Optional[Any] = None
-        #: struct-of-arrays fleet table this VM is a row of (set by
-        #: :meth:`repro.cloud.vmtable.VMTable.add`); transitions mirror the
-        #: state into the table's ``state`` column
-        self._table: Optional[Any] = None
-        self._table_index: int = -1
+        #: the VEEM this VM was submitted to (set by ``VEEM.submit``); the
+        #: transition into STOPPED or FAILED takes it off that VEEM's
+        #: ``active_vm_count``
+        self._veem: Optional[Any] = None
         self.on_running: Event = env.event()
         self.on_stopped: Event = env.event()
 
@@ -144,12 +143,13 @@ class VirtualMachine:
             )
         self.state = new_state
         self.state_history.append((self.env.now, new_state))
-        if self._table is not None:
-            self._table.note_transition(self._table_index, new_state)
         if new_state is VMState.RUNNING and self.running_at is None:
             self.running_at = self.env.now
             self.on_running.succeed(self)
         elif new_state in (VMState.STOPPED, VMState.FAILED):
+            # Terminal states never transition again: one decrement per VM.
+            if self._veem is not None:
+                self._veem.active_vm_count -= 1
             self.stopped_at = self.env.now
             self.on_stopped.succeed(self)
 

@@ -484,15 +484,23 @@ class ControlPlane:
         ``min()`` over all admitting candidates, but saturated low-rank
         sites are never packed at all."""
         manifest = request.manifest
+        for site in self._ranked_sites(manifest):
+            if site.admission.can_admit(manifest):
+                return site
+        return None
+
+    def _ranked_sites(self, manifest: ServiceManifest
+                      ) -> list[ControlledSite]:
+        """Eligible sites in federated selection order: favoured first,
+        then greatest headroom, then federation order. ``what_if`` ranks
+        through this too, so its ``chosen`` is the site ``submit()`` admits
+        on."""
         ranked = sorted(
             (self._preference(site, manifest), -site.headroom, index, site)
             for index, site in enumerate(self.sites)
             if self._eligible(site, manifest)
         )
-        for _pref, _headroom, _index, site in ranked:
-            if site.admission.can_admit(manifest):
-                return site
-        return None
+        return [site for _pref, _headroom, _index, site in ranked]
 
     def _try_admit(self, request: ProvisioningRequest) -> bool:
         """The scheduler's admission callback: quota, then site capacity;

@@ -469,13 +469,12 @@ class _Federation:
         *between* event instants (VM transitions cluster on the monitor
         grid): the count at each tick is then independent of same-instant
         event ordering, which is what lets sharded and single-process runs
-        agree sample-for-sample. The count itself is the O(1)
-        :attr:`~repro.cloud.vmtable.VMTable.active_count` column aggregate,
-        not a fleet scan.
+        agree sample-for-sample. The count itself sums each VEEM's O(1)
+        ``active_vm_count``, not a fleet scan.
         """
         total = 0
         for veem in self.veems:
-            total += veem.table.active_count
+            total += veem.active_vm_count
         self.samples.append((self.env.now, total))
         return self.cfg.sample_period_s
 
@@ -554,7 +553,7 @@ class _Federation:
 
     def site_fleets(self) -> tuple:
         """``(site, active VMs)`` per owned site, in site order."""
-        return tuple((name, veem.table.active_count)
+        return tuple((name, veem.active_vm_count)
                      for name, veem in zip(self.site_names, self.veems))
 
 
@@ -570,31 +569,35 @@ def _run_scale_single(cfg: ScaleConfig, say,
     env = fed.env
     if profiler is not None:
         profiler.attach(env)
+    try:
+        say(f"submitting {cfg.services} service(s) "
+            f"across {cfg.tenants} tenant(s) ...")
+        admitted_requests, admitted, queued, rejected = _submit_all(
+            fed.control, cfg, _scale_manifest(cfg))
+        # Session tides: every service gets one burst; a seeded fraction
+        # bursts past the scale-up threshold and grows its app tier until
+        # the tide drains. Profiles are drawn centrally, in admission order,
+        # from one seeded stream — the determinism contract sharded runs
+        # replay.
+        states = [_start_session_driver(env, profile, cfg)
+                  for profile in draw_profiles(cfg, admitted_requests)]
 
-    say(f"submitting {cfg.services} service(s) "
-        f"across {cfg.tenants} tenant(s) ...")
-    admitted_requests, admitted, queued, rejected = _submit_all(
-        fed.control, cfg, _scale_manifest(cfg))
-    # Session tides: every service gets one burst; a seeded fraction bursts
-    # past the scale-up threshold and grows its app tier until the tide
-    # drains. Profiles are drawn centrally, in admission order, from one
-    # seeded stream — the determinism contract sharded runs replay.
-    states = [_start_session_driver(env, profile, cfg)
-              for profile in draw_profiles(cfg, admitted_requests)]
+        say("deploying and wiring monitoring agents ...")
+        fed.warm_up(admitted_requests, states)
 
-    say("deploying and wiring monitoring agents ...")
-    fed.warm_up(admitted_requests, states)
+        say(f"running {cfg.hours:g} simulated hour(s) ...")
+        env.run(until=cfg.duration_s + cfg.settle_s)
 
-    say(f"running {cfg.hours:g} simulated hour(s) ...")
-    env.run(until=cfg.duration_s + cfg.settle_s)
-
-    if cfg.check_invariants:
-        say("checking invariants ...")
-    # One cursor audit from span 0 is the full audit; its counters land in
-    # the registry before the view is built, as worker snapshots are taken
-    # after theirs.
-    findings, violations, flight = fed.finish()
-    metrics_view = canonical_view(env.metrics)
+        if cfg.check_invariants:
+            say("checking invariants ...")
+        # One cursor audit from span 0 is the full audit; its counters land
+        # in the registry before the view is built, as worker snapshots are
+        # taken after theirs.
+        findings, violations, flight = fed.finish()
+        metrics_view = canonical_view(env.metrics)
+    finally:
+        if profiler is not None:
+            profiler.detach()
 
     wall_s = time.perf_counter() - wall_start
     site_fleets = fed.site_fleets()
@@ -745,9 +748,10 @@ def run_scale(cfg: Optional[ScaleConfig] = None, *,
               progress=None, profiler=None) -> ScaleReport:
     """Run one federation scale sweep and measure it.
 
-    ``profiler`` (a :class:`~repro.obs.profile.SimProfiler`) attaches to
-    the kernel for the run; single-process only — a worker's kernel lives
-    in another process, out of the hook's reach.
+    ``profiler`` (a :class:`~repro.obs.profile.SimProfiler`) samples this
+    process from the first submission to the end-of-run audit, on either
+    kernel; single-process only — a worker's kernel lives in another
+    process, out of the sampler's reach.
     """
     cfg = cfg or ScaleConfig()
     say = progress or (lambda _msg: None)

@@ -1,113 +1,153 @@
-"""Deterministic sim-time profiler for the calendar-queue kernel.
+"""Statistical per-layer profiler: a ``SIGPROF`` sampler outside the kernel.
 
-``Environment.profile`` exposes a per-dispatch hook; :class:`SimProfiler`
-aggregates it two ways:
+:class:`SimProfiler` arms ``setitimer(ITIMER_PROF)`` every
+:data:`INTERVAL_S` of process CPU time. Each ``SIGPROF`` hands the
+interrupted frame to :meth:`SimProfiler._sample`, which walks the stack
+outwards through ``f_back`` and maps every frame's source file under the
+``repro`` package to a layer by the longest module prefix in
+:data:`LAYER_PREFIXES` — the layer names the end-to-end benchmark's
+tracer reports (``sim.kernel``, ``monitoring.probes``,
+``core.service_manager.rules``, …, ``other``). The innermost ``repro``
+frame's layer takes the sample's *self* count; every layer on the stack
+takes one *inclusive* count. The probes and rule passes a tick group
+runs therefore count under their own modules, not under the kernel that
+dispatched them.
 
-* per ``(layer, event kind)`` — wall-clock seconds and event counts, the
-  "where does the time go" table (:meth:`render`);
-* per ``(simulated-time bucket, layer)`` — an activity timeline exported
-  in the same Chrome-trace format as :mod:`repro.obs.exporters`, so the
-  profile opens in ``chrome://tracing`` next to the span trace
-  (:meth:`chrome_trace`).
-
-The *layer* is recovered from the dispatched event and its callbacks: a
-tick group (one dispatch running every periodic probe and rule pass due at
-an instant, see ``Environment.every``) is the ``tick`` layer; a bound
-method of an object with a string ``name`` (processes name themselves
-``layer-instance:purpose``) classifies by the name's prefix; otherwise by
-the owning class's module. Attribution is deterministic — only the
-wall-clock column varies between runs, and wall-clock never feeds back
-into the simulation.
+Self samples are also filed per simulated-time bucket and exported as
+Chrome-trace counter tracks (:meth:`SimProfiler.chrome_trace`) that open
+next to the span dump of :mod:`repro.obs.exporters`. The sampler reads
+frames and the clock only, never simulation state, so a profiled run
+decides exactly what an unprofiled one does, on either kernel.
 """
 
 from __future__ import annotations
 
-from ..sim.kernel import TickGroup
+import functools
+import os
+import signal
+from collections import Counter
+from typing import Optional
 
 __all__ = ["SimProfiler"]
 
+#: Sampling interval in seconds of process CPU time. The kernel may deliver
+#: coarser (one signal per scheduler tick at most), so reports give sample
+#: counts and shares, not seconds.
+INTERVAL_S = 0.001
 
-def _classify(event, callbacks) -> str:
-    """Layer label for one dispatch: tick groups are ``tick``; dead skips
-    and bare events belong to the kernel; bound methods classify by their
-    owner."""
-    if type(event) is TickGroup:
-        return "tick"
-    if not callbacks:
-        return "kernel"
-    cb = callbacks[0]
-    owner = getattr(cb, "__self__", None)
-    if owner is not None:
-        name = getattr(owner, "name", None)
-        if isinstance(name, str) and name:
-            return name.split(":", 1)[0].split("-", 1)[0]
-        module = type(owner).__module__
-    else:
-        module = getattr(cb, "__module__", None) or "unknown"
-    return module.rsplit(".", 1)[-1]
+#: module prefix (relative to ``repro``) -> layer, longest prefix wins
+LAYER_PREFIXES = {
+    "sim": "sim.kernel",
+    "sim.tracing": "sim.tracing",
+    "monitoring": "monitoring.other",
+    "monitoring.distribution": "monitoring.distribution",
+    "monitoring.codec": "monitoring.codec",
+    "monitoring.measurements": "monitoring.measurements",
+    "monitoring.probes": "monitoring.probes",
+    "core": "core.other",
+    "core.service_manager.rules": "core.service_manager.rules",
+    "core.service_manager.lifecycle": "core.service_manager.lifecycle",
+    "control": "control",
+    "cloud": "cloud",
+    "solver": "solver",
+    "grid": "grid",
+    "obs": "obs",
+    "scenarios": "scenarios",
+    "experiments": "experiments",
+}
+
+_ROOT = os.path.dirname(os.path.dirname(__file__)) + os.sep
+
+
+@functools.lru_cache(maxsize=None)
+def layer_of_file(filename: str) -> Optional[str]:
+    """Layer of a ``repro`` source file; ``None`` for code outside it."""
+    if not filename.startswith(_ROOT) or not filename.endswith(".py"):
+        return None
+    parts = filename[len(_ROOT):-3].split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    for end in range(len(parts), 0, -1):
+        layer = LAYER_PREFIXES.get(".".join(parts[:end]))
+        if layer is not None:
+            return layer
+    return "other"
 
 
 class SimProfiler:
-    """Attributable kernel profile: wall-clock and counts per layer/kind."""
+    """Self and inclusive ``SIGPROF`` samples per layer, plus a timeline of
+    self samples per simulated-time bucket."""
 
     def __init__(self, bucket_s: float = 60.0):
         if bucket_s <= 0:
             raise ValueError("bucket_s must be positive")
         self.bucket_s = bucket_s
-        #: (layer, event kind) -> [events, wall_s]
-        self.by_key: dict[tuple[str, str], list] = {}
-        #: (bucket index, layer) -> [events, wall_s]
-        self.timeline: dict[tuple[int, str], list] = {}
+        self.samples = 0
+        #: layer -> samples whose innermost ``repro`` frame is in it
+        self.self_samples: Counter = Counter()
+        #: layer -> samples with at least one frame in it (every sample's
+        #: self layer counts as on its stack)
+        self.inclusive: Counter = Counter()
+        #: (bucket index, layer) -> self samples
+        self.timeline: Counter = Counter()
         self._env = None
+        self._prev_handler = None
 
     # -- wiring ---------------------------------------------------------------
     def attach(self, env) -> "SimProfiler":
-        env.profile(self._hook)
+        """Start sampling; ``env`` only supplies the timeline's clock."""
+        if self._env is not None:
+            raise RuntimeError("profiler is already attached")
         self._env = env
+        self._prev_handler = signal.signal(
+            signal.SIGPROF, lambda _signum, frame: self._sample(frame))
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         return self
 
     def detach(self) -> None:
-        if self._env is not None:
-            self._env.profile(None)
-            self._env = None
+        """Stop the timer and restore the previous ``SIGPROF`` handler."""
+        if self._env is None:
+            return
+        signal.setitimer(signal.ITIMER_PROF, 0.0)
+        prev = self._prev_handler
+        signal.signal(signal.SIGPROF,
+                      signal.SIG_DFL if prev is None else prev)
+        self._env = None
 
-    def _hook(self, event, callbacks, wall_s: float) -> None:
-        layer = _classify(event, callbacks)
-        key = (layer, type(event).__name__)
-        cell = self.by_key.get(key)
-        if cell is None:
-            cell = self.by_key[key] = [0, 0.0]
-        cell[0] += 1
-        cell[1] += wall_s
-        bucket = (int(self._env._now // self.bucket_s), layer)
-        cell = self.timeline.get(bucket)
-        if cell is None:
-            cell = self.timeline[bucket] = [0, 0.0]
-        cell[0] += 1
-        cell[1] += wall_s
+    def _sample(self, frame) -> tuple[str, set]:
+        """File one sample of the stack whose innermost frame is ``frame``;
+        returns its self layer and the layers on the stack."""
+        innermost = None
+        layers = set()
+        while frame is not None:
+            layer = layer_of_file(frame.f_code.co_filename)
+            if layer is not None:
+                innermost = innermost or layer
+                layers.add(layer)
+            frame = frame.f_back
+        if innermost is None:
+            innermost = "other"
+            layers.add(innermost)
+        self.samples += 1
+        self.self_samples[innermost] += 1
+        for layer in layers:
+            self.inclusive[layer] += 1
+        self.timeline[int(self._env.now // self.bucket_s), innermost] += 1
+        return innermost, layers
 
     # -- reporting ------------------------------------------------------------
-    @property
-    def total_events(self) -> int:
-        return sum(cell[0] for cell in self.by_key.values())
-
-    @property
-    def total_wall_s(self) -> float:
-        return sum(cell[1] for cell in self.by_key.values())
-
     def render(self) -> str:
-        """Text table, hottest (by wall-clock) first."""
-        lines = [f"sim profile: {self.total_events} events, "
-                 f"{self.total_wall_s * 1e3:.1f} ms dispatch wall-clock"]
-        lines.append(f"  {'layer':<16}{'event kind':<16}"
-                     f"{'events':>10}{'wall ms':>10}{'%':>7}")
-        total = self.total_wall_s or 1.0
-        ordered = sorted(self.by_key.items(),
-                         key=lambda item: (-item[1][1], item[0]))
-        for (layer, kind), (events, wall_s) in ordered:
-            lines.append(
-                f"  {layer:<16}{kind:<16}{events:>10}"
-                f"{wall_s * 1e3:>10.2f}{wall_s / total:>7.1%}")
+        """Text table, most self samples first."""
+        lines = [f"sim profile: {self.samples} samples "
+                 f"(one per {INTERVAL_S * 1e3:g} ms of CPU time at most)"]
+        lines.append(f"  {'layer':<32}{'samples':>9}{'self %':>9}"
+                     f"{'incl %':>9}")
+        total = self.samples or 1
+        for layer in sorted(self.inclusive,
+                            key=lambda name: (-self.self_samples[name], name)):
+            own = self.self_samples[layer]
+            lines.append(f"  {layer:<32}{own:>9}{own / total:>9.1%}"
+                         f"{self.inclusive[layer] / total:>9.1%}")
         return "\n".join(lines) + "\n"
 
     def chrome_trace(self, *, pid: int = 1) -> dict:
@@ -121,19 +161,16 @@ class SimProfiler:
                 "tid": f"profile:{layer}",
                 "args": {"name": f"profile:{layer}"},
             })
-        for (bucket, layer), (count, wall_s) in sorted(
-                self.timeline.items()):
-            ts = bucket * self.bucket_s * 1e6
+        for (bucket, layer), count in sorted(self.timeline.items()):
             events.append({
-                "name": f"dispatch:{layer}", "ph": "C", "pid": pid,
-                "tid": f"profile:{layer}", "ts": ts,
-                "args": {"events": count,
-                         "wall_ms": round(wall_s * 1e3, 6)},
+                "name": f"samples:{layer}", "ph": "C", "pid": pid,
+                "tid": f"profile:{layer}", "ts": bucket * self.bucket_s * 1e6,
+                "args": {"self": count},
             })
         totals = {
-            f"{layer}:{kind}": {"events": count,
-                                "wall_ms": round(wall_s * 1e3, 6)}
-            for (layer, kind), (count, wall_s) in sorted(self.by_key.items())
+            layer: {"self": self.self_samples[layer],
+                    "inclusive": self.inclusive[layer]}
+            for layer in sorted(self.inclusive)
         }
         return {"traceEvents": events, "displayTimeUnit": "ms",
-                "otherData": {"totals": totals}}
+                "otherData": {"samples": self.samples, "totals": totals}}

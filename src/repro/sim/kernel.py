@@ -582,7 +582,7 @@ class Environment:
 
     __slots__ = ("_now", "_buckets", "_urgent", "_times", "_live_n",
                  "_live_u", "_draining", "_events_done", "_dead_skipped",
-                 "_metrics", "_obs_scope", "_profile_cb", "timeout")
+                 "_metrics", "_obs_scope", "timeout")
 
     def __new__(cls, initial_time: float = 0.0, reference: bool = False):
         if reference and cls is Environment:
@@ -609,9 +609,6 @@ class Environment:
         #: Lazily-built metrics registry (one per environment); see
         #: :attr:`metrics`.
         self._metrics: Optional[Any] = None
-        #: Optional per-event profiling hook; see :meth:`profile`. When set,
-        #: :meth:`run` steps the kernel through :meth:`_step` instead.
-        self._profile_cb: Optional[Any] = None
         #: ``env.timeout(delay, value=None)`` — a specialised closure rather
         #: than a method; see :func:`_make_timeout_factory`.
         self.timeout = _make_timeout_factory(self)
@@ -826,15 +823,11 @@ class Environment:
         return self._times[0] if self._times else float("inf")
 
     def step(self) -> None:
-        """Process the single next event exactly as :meth:`run` would."""
-        self._step()
+        """Process the single next event exactly as :meth:`run` would.
 
-    def _step(self) -> tuple[Event, Optional[list]]:
-        """Dispatch one event with :meth:`run`'s rules and return it with
-        the callback list it ran (``None`` or empty for a bare or dead
-        event). Picks are urgent-first, :meth:`_advance` adopts the next
-        batch, and ``_draining`` is set while callbacks run so same-instant
-        arrivals join the live batch as they do in :meth:`run`."""
+        Picks are urgent-first, :meth:`_advance` adopts the next batch, and
+        ``_draining`` is set while callbacks run so same-instant arrivals
+        join the live batch as they do in :meth:`run`."""
         if self._draining:
             raise SimError("step() is not reentrant with run()")
         live_u = self._live_u
@@ -857,24 +850,6 @@ class Environment:
             self._dead_skipped += 1
         elif not event._ok and not event.defused:
             raise event._value
-        return event, callbacks
-
-    def profile(self, callback) -> None:
-        """Install (or with ``None``, remove) a per-event profiling hook.
-
-        The hook is called after every dispatch as ``callback(event,
-        callbacks, wall_s)`` — the event, the callback list it was
-        dispatched with (``None`` for a bare event or a lazily-cancelled
-        dead skip), and the wall-clock seconds the dispatch took. Event
-        *order* is identical to the unprofiled drain; only wall-clock
-        changes, which is invisible to the simulation. Refused on the
-        reference kernel — it is the differential oracle and stays
-        verbatim.
-        """
-        if callback is not None and self.reference:
-            raise SimError("profiling is not supported on the reference "
-                           "(differential-oracle) kernel")
-        self._profile_cb = callback
 
     def _until(self, until: Optional[float | Event]
                ) -> tuple[float, Optional[Event]]:
@@ -913,8 +888,6 @@ class Environment:
         if self._draining:
             raise SimError("run() is not reentrant")
         stop_time, stop_event = self._until(until)
-        if self._profile_cb is not None:
-            return self._run_profiled(stop_time, stop_event)
 
         # The drain loop is the single hottest path in the harness: queue
         # state is bound locally and the common dispatch (one callback, event
@@ -989,27 +962,6 @@ class Environment:
             self._events_done += done
             self._dead_skipped += dead_skipped
 
-        return self._finish(stop_time, stop_event)
-
-    def _run_profiled(self, stop_time: float,
-                      stop_event: Optional[Event]) -> Any:
-        """:meth:`run` with the profiling hook: steps the kernel through
-        :meth:`_step`, the same dispatch :meth:`step` uses, and feeds the
-        hook each event with the wall-clock seconds its step took."""
-        from time import perf_counter
-        hook = self._profile_cb
-        step = self._step
-        times = self._times
-        live_n = self._live_n
-        live_u = self._live_u
-        while stop_event is None or stop_event.callbacks is not None:
-            # run()'s stop rule: a new batch starts only at or before
-            # ``stop_time``.
-            if not (live_u or live_n or times and times[0] <= stop_time):
-                break
-            t0 = perf_counter()
-            event, callbacks = step()
-            hook(event, callbacks or None, perf_counter() - t0)
         return self._finish(stop_time, stop_event)
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cloud import (
     ComponentCap,
     DeploymentDescriptor,
+    DiskImage,
     Host,
     HypervisorTimings,
     ImageRepository,
@@ -204,6 +205,49 @@ def test_active_and_running_filters():
     assert len(veem.running_vms(component_id="exec")) == 1
     assert len(veem.running_vms(service_id="svc")) == 2
     assert veem.running_vms(service_id="other") == []
+
+
+def test_veem_table_tracks_submitted_fleet():
+    env = Environment()
+    veem = VEEM(env, repository=ImageRepository(bandwidth_mb_per_s=1000))
+    veem.add_host(Host(env, "h0", cpu_cores=4, memory_mb=8192,
+                       timings=HypervisorTimings(define_s=1, boot_s=10,
+                                                 shutdown_s=2)))
+    image = veem.repository.register(
+        DiskImage("app-image", "img://app", size_mb=64))
+    desc = DeploymentDescriptor(name="app", memory_mb=1024, cpu=1,
+                                disk_source=image.href,
+                                service_id="svc", component_id="app")
+    vm = veem.submit(desc)
+    assert veem.active_vm_count == 1
+    env.run(until=60)
+    assert vm.state is VMState.RUNNING
+    assert veem.active_vms(service_id="svc") == [vm]
+    assert veem.running_vms() == [vm]
+    veem.shutdown(vm)
+    env.run(until=120)
+    assert vm.state is VMState.STOPPED
+    assert veem.active_vm_count == 0
+
+
+def test_active_vm_count_drops_once_per_failed_vm():
+    """The live count falls in the same instant a VM fails, whether it
+    was still deploying or running, and never twice for one VM."""
+    env = Environment()
+    veem = make_veem(env)
+    vms = [veem.submit(make_desc(component=c))
+           for c in ("exec", "dbms", "exec")]
+    assert veem.active_vm_count == 3
+    env.run(until=5)                            # all three staging
+    assert veem.preempt(1) == [vms[2]]          # newest first
+    assert veem.active_vm_count == 2
+    env.run(until=env.all_of([vms[0].on_running, vms[1].on_running]))
+    assert veem.active_vms(component_id="exec") == [vms[0]]
+    veem.inject_vm_failure(vms[0])
+    assert veem.active_vm_count == 1
+    assert veem.active_vms() == [vms[1]]
+    env.run(until=env.now + 100)
+    assert veem.active_vm_count == len(veem.active_vms()) == 1
 
 
 def test_placement_constraints_enforced_by_veem():

@@ -7,8 +7,9 @@ byte-identical logs on any seeded workload. These tests run randomized
 process mixes (timeouts, zero-delay cascades, AnyOf/AllOf races with
 abandoned losers, interrupts, resource and store waits, processes spawned
 mid-batch) through both kernels and compare serialized transcripts. The
-calendar kernel is also driven one ``step()`` at a time and with a profiling
-hook installed: every way of driving it must dispatch in the heap's order.
+calendar kernel is also driven one ``step()`` at a time: every way of
+driving it must dispatch in the heap's order. A run sampled by the
+``SIGPROF`` layer profiler must replay the unsampled one on either kernel.
 
 ``Environment.every`` members are replayed against the generator loops
 they replace (``while True: yield env.timeout(d)``) on both kernels.
@@ -19,6 +20,7 @@ they replace (``while True: yield env.timeout(d)``) on both kernels.
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.sim import (  # noqa: E402
     Resource,
     Store,
 )
+from repro.obs import SimProfiler  # noqa: E402
 
 DELAYS = (0.0, 0.0, 0.5, 1.0, 2.5, 7.0)
 
@@ -40,16 +43,17 @@ MAX_EXAMPLES = int(os.environ.get("KERNEL_FUZZ_EXAMPLES", "40"))
 
 
 def _run_mix(seed: int, n_workers: int, *, reference: bool,
-             stepped: bool = False, hook=None) -> str:
+             stepped: bool = False, profiled: bool = False) -> str:
     """One seeded multi-process scenario; returns a serialized transcript
     of everything observable (event order, clock, counters, final state).
 
     ``stepped`` drives the kernel with ``step()`` instead of ``run()``;
-    ``hook`` is installed with ``env.profile`` before the run.
+    ``profiled`` samples the run with a :class:`SimProfiler`, and every
+    child also calls its sample routine, since a short mix may see no
+    timer signal at all.
     """
     env = Environment(reference=reference)
-    if hook is not None:
-        env.profile(hook)
+    profiler = SimProfiler().attach(env) if profiled else None
     log: list = []
     resource = Resource(env, capacity=max(1, n_workers // 3))
     store = Store(env)
@@ -57,6 +61,8 @@ def _run_mix(seed: int, n_workers: int, *, reference: bool,
     procs: list = []
 
     def child(wid: int, cid: int, delay: float):
+        if profiler is not None:
+            profiler._sample(sys._getframe())
         log.append((env.now, wid, f"child-start:{cid}"))
         yield env.timeout(delay)
         log.append((env.now, wid, f"child-done:{cid}"))
@@ -135,10 +141,14 @@ def _run_mix(seed: int, n_workers: int, *, reference: bool,
     for wid in range(n_workers):
         procs.append(env.process(worker(wid, rng.randrange(2**31)),
                                  name=f"w{wid}"))
-    if stepped:
-        while env.peek() <= 500.0:
-            env.step()
-    env.run(until=500.0)
+    try:
+        if stepped:
+            while env.peek() <= 500.0:
+                env.step()
+        env.run(until=500.0)
+    finally:
+        if profiler is not None:
+            profiler.detach()
     return json.dumps({
         "now": env.now,
         "events": env.events_processed,
@@ -191,21 +201,15 @@ def test_stepped_wheel_matches_heap_on_pinned_seeds(seed):
 
 
 def _profiled_matches_plain(seed: int, n_workers: int) -> None:
-    calls = []
-
-    def hook(event, callbacks, wall_s):
-        calls.append(event)
-
-    profiled = _run_mix(seed, n_workers, reference=False, hook=hook)
-    assert profiled == _run_mix(seed, n_workers, reference=False)
-    assert len(calls) == json.loads(profiled)["events"]
+    for reference in (False, True):
+        assert (_run_mix(seed, n_workers, reference=reference, profiled=True)
+                == _run_mix(seed, n_workers, reference=reference))
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_workers=st.integers(2, 12))
 def test_profiled_run_matches_plain_on_random_mixes(seed, n_workers):
-    """A profiling hook changes nothing observable, and sees every
-    dispatch exactly once."""
+    """Sampling a run changes nothing observable, on either kernel."""
     _profiled_matches_plain(seed, n_workers)
 
 

@@ -7,6 +7,8 @@ and the typed rejection reasons that thread solver explanations into
 ``Rejected`` outcomes.
 """
 
+import random
+
 import pytest
 
 from repro.cloud import (
@@ -22,10 +24,12 @@ from repro.cloud.vm import DeploymentDescriptor
 from repro.control import (
     Admitted,
     ControlPlane,
+    Queued,
     Rejected,
     RejectCode,
     RejectionReason,
     RequestState,
+    TenantQuota,
 )
 from repro.core.manifest import ManifestBuilder
 from repro.sim import Environment
@@ -469,6 +473,52 @@ def test_what_if_site_eligibility():
     assert not report.fits
     assert not report.verdict_for("s").eligible
     assert "ineligible" in report.render()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_what_if_chosen_is_the_site_submit_admits_on(seed):
+    """Seeded random federations (host shapes, trust, partitions, favour
+    and avoid lists, quotas, earlier admissions): ``what_if``'s ``chosen``
+    is the site a following ``submit()`` admits on, or None when that
+    submit does not admit."""
+    rng = random.Random(seed)
+    env = Environment()
+    control = ControlPlane(env)
+    names = [f"s{i}" for i in range(rng.randint(2, 5))]
+    for name in names:
+        shape = rng.choice(((4, 8192), (8, 16384)))
+        control.add_site(name, make_veem(env, [shape] * rng.randint(1, 4),
+                                         name=name),
+                         attributes={"trusted": rng.random() < 0.6})
+    control.register_tenant("acme")
+    control.register_tenant(
+        "capped", quota=TenantQuota(max_instances=rng.randint(2, 8)))
+    if rng.random() < 0.4:
+        control.partition([rng.choice(names)])
+    outcomes = set()
+    for step in range(24):
+        b = ManifestBuilder(f"svc{step}")
+        for k in range(rng.randint(1, 2)):
+            n = rng.randint(1, 2)
+            b.component(f"c{k}", image_mb=64, cpu=rng.choice((1, 1, 2, 4)),
+                        memory_mb=rng.choice((512, 1024, 4096)),
+                        initial=n, minimum=n, maximum=n)
+        if rng.random() < 0.6:
+            picked = rng.sample(names, 2)
+            b.site_placement(favour=picked[:rng.randint(0, 1)],
+                             avoid=picked[1:rng.randint(1, 2)],
+                             require_trusted=rng.random() < 0.3)
+        manifest = b.build()
+        tenant = rng.choice(("acme", "capped"))
+        chosen = control.what_if(manifest, tenant=tenant,
+                                 exact=False).chosen
+        out = control.submit(tenant, manifest)
+        outcomes.add(type(out).__name__)
+        assert (out.site if isinstance(out, Admitted) else None) == chosen
+        if isinstance(out, Queued):
+            break       # a waiting request would be drained ahead of the next
+        env.run(until=env.now + rng.choice((0.0, 30.0, 300.0)))
+    assert "Admitted" in outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
 """§17 telemetry pipeline: snapshot/merge machinery, flight recorder,
-sim-time profiler, and the epoch-report protocol extensions."""
+layer profiler, and the epoch-report protocol extensions."""
 
 import json
 import pickle
+import signal
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.manifest import ElasticityRule
+from repro.core.service_manager.rules import RuleInterpreter
 from repro.experiments.scale import ScaleConfig, run_scale
+from repro.monitoring import (
+    AttributeType,
+    DataSource,
+    MulticastChannel,
+    Probe,
+    ProbeAttribute,
+)
 from repro.obs import (
     FlightRecorder,
     MetricError,
@@ -20,7 +31,7 @@ from repro.obs import (
     dump_flight,
 )
 from repro.obs.audit import audit_violation_strings
-from repro.sim import Environment, EpochReport, SimError, TraceLog
+from repro.sim import Environment, EpochReport, TraceLog
 
 
 # ---------------------------------------------------------------------------
@@ -280,61 +291,91 @@ def test_dump_flight_module_function(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Sim-time profiler
+# Layer profiler
 # ---------------------------------------------------------------------------
 
-def test_profiler_refused_on_reference_kernel():
-    env = Environment(reference=True)
-    with pytest.raises(SimError, match="reference"):
-        SimProfiler().attach(env)
+def _profiled_scale(reference: bool = False, **kw):
+    """A scale run long enough (about 0.1 s of CPU) to collect samples."""
+    profiler = SimProfiler(**kw)
+    cfg = ScaleConfig(sites=4, services=40, hours=1.0, reference=reference)
+    return run_scale(cfg, profiler=profiler), profiler
 
 
-def test_profiler_counts_every_dispatch():
-    cfg = ScaleConfig(sites=2, services=8, hours=0.25, settle_s=120.0)
-    profiler = SimProfiler()
-    report = run_scale(cfg, profiler=profiler)
-    assert profiler.total_events == report.events_processed
-    assert profiler.total_wall_s > 0.0
-    layers = {layer for layer, _kind in profiler.by_key}
-    assert "sessions" in layers      # the session drivers
+def test_profiler_samples_the_reference_kernel():
+    """The sampler sits outside the kernel: the heap oracle is profiled
+    like the calendar kernel, not refused."""
+    report, profiler = _profiled_scale(reference=True)
+    assert report.reference
+    assert profiler.samples > 0
+    assert sum(profiler.self_samples.values()) == profiler.samples
+    assert profiler.inclusive["sim.kernel"] > 0
     text = profiler.render()
-    assert "sim profile" in text and "events" in text
+    assert "sim profile" in text and "self %" in text
 
 
-def test_profiler_puts_tick_groups_in_their_own_layer():
-    """One dispatch runs every probe and rule pass due at an instant; the
-    profiler files it under ``tick``, not ``kernel``."""
+def test_profiler_attributes_tick_members_to_their_layers():
+    """Probe emission and rule passes run inside one tick-group dispatch,
+    yet each sample taken in them counts under its own module, with the
+    kernel only inclusive. Samples are taken by hand on real frames, so
+    the attribution is checked without counting timer signals."""
     env = Environment()
     profiler = SimProfiler().attach(env)
-    seen = []
-    for _ in range(3):
-        env.every(60.0, lambda: seen.append(env.now) or 60.0)
-    env.timeout(30.0)
-    env.run(until=130.0)
-    assert len(seen) == 6
-    assert profiler.by_key[("tick", "TickGroup")][0] == 2
-    assert profiler.by_key[("kernel", "Event")][0] == 3     # start events
-    assert profiler.by_key[("kernel", "Timeout")][0] == 1
-    assert "tick" in profiler.render()
+    probe_samples, rule_samples = [], []
+
+    def collect():
+        probe_samples.append(profiler._sample(sys._getframe()))
+        return (1,)
+
+    def execute(action, rule):
+        rule_samples.append(profiler._sample(sys._getframe()))
+        return False
+
+    try:
+        source = DataSource(env, "ds", "svc", MulticastChannel(env))
+        source.add_probe(Probe(
+            "load", "svc.load",
+            [ProbeAttribute("v", AttributeType.INTEGER)], collect,
+            data_rate_s=60.0))
+        rules = RuleInterpreter(env, "svc", executor=execute,
+                                eval_period_s=60.0)
+        rules.install(ElasticityRule.from_text(
+            "always", "@k.a > 0", "notify()", defaults={"k.a": 1.0}))
+        rules.start()
+        env.run(until=130.0)
+    finally:
+        profiler.detach()
+    assert len(probe_samples) == 2 and rule_samples
+    for layer, stack in probe_samples:
+        assert layer == "monitoring.probes"
+        assert "sim.kernel" in stack
+    for layer, stack in rule_samples:
+        assert layer == "core.service_manager.rules"
+        assert "sim.kernel" in stack
+    assert profiler.self_samples["monitoring.probes"] >= 2
+    assert (profiler.self_samples["core.service_manager.rules"]
+            >= len(rule_samples))
+    assert profiler.timeline[1, "monitoring.probes"] >= 1   # t = 60 s
+    assert "monitoring.probes" in profiler.render()
 
 
 def test_profiler_does_not_change_outcomes():
-    cfg = ScaleConfig(sites=2, services=8, hours=0.25, settle_s=120.0,
-                      check_invariants=True)
-    plain = run_scale(cfg)
-    profiled = run_scale(cfg, profiler=SimProfiler())
-    assert profiled.decision_outcomes() == plain.decision_outcomes()
-    assert profiled.events_processed == plain.events_processed
+    for reference in (False, True):
+        cfg = ScaleConfig(sites=2, services=8, hours=0.25, settle_s=120.0,
+                          check_invariants=True, reference=reference)
+        plain = run_scale(cfg)
+        profiled = run_scale(cfg, profiler=SimProfiler())
+        assert profiled.decision_outcomes() == plain.decision_outcomes()
+        assert profiled.events_processed == plain.events_processed
 
 
 def test_profiler_chrome_trace_shape():
-    cfg = ScaleConfig(sites=2, services=8, hours=0.25)
-    profiler = SimProfiler(bucket_s=300.0)
-    run_scale(cfg, profiler=profiler)
+    _report, profiler = _profiled_scale(bucket_s=300.0)
     doc = profiler.chrome_trace()
     counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
     assert counters and all(e["ts"] >= 0 for e in counters)
     assert doc["otherData"]["totals"]
+    assert (sum(e["args"]["self"] for e in counters)
+            == doc["otherData"]["samples"] == profiler.samples)
     json.dumps(doc)                  # exportable
 
 
@@ -344,17 +385,22 @@ def test_profiler_rejected_under_sharding():
         run_scale(cfg, profiler=SimProfiler())
 
 
-def test_profile_hook_clearable():
-    env = Environment()
-    seen = []
-    env.profile(lambda e, cbs, w: seen.append(type(e).__name__))
-    env.timeout(1.0)
-    env.run()
-    assert seen == ["Timeout"]
-    env.profile(None)
-    env.timeout(1.0)
-    env.run()
-    assert seen == ["Timeout"]       # hook removed
+def test_profiler_detach_restores_sigprof_handler():
+    def prior(signum, frame):
+        pass
+
+    saved = signal.signal(signal.SIGPROF, prior)
+    try:
+        profiler = SimProfiler().attach(Environment())
+        assert signal.getsignal(signal.SIGPROF) is not prior
+        assert signal.getitimer(signal.ITIMER_PROF)[1] > 0
+        profiler.detach()
+        assert signal.getsignal(signal.SIGPROF) is prior
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        profiler.detach()            # idempotent
+        assert signal.getsignal(signal.SIGPROF) is prior
+    finally:
+        signal.signal(signal.SIGPROF, saved)
 
 
 # ---------------------------------------------------------------------------
