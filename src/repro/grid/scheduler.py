@@ -243,16 +243,19 @@ class CondorScheduler:
         # Scan the queue in order; a job whose requirements no available
         # node satisfies is skipped (it stays idle) without starving the
         # jobs behind it — Condor's negotiation behaves the same way.
+        # Nothing below yields, so the available nodes are snapshotted once
+        # (registration order) and the scan stops when none is left free.
+        free = [n for n in self.nodes.values() if n.available]
         unmatched: deque[Job] = deque()
         progressed = False
-        while self.idle_jobs:
+        while free and self.idle_jobs:
             job = self.idle_jobs.popleft()
-            node = next(
-                (n for n in self.nodes.values()
-                 if n.available and n.satisfies(job.requirements)), None)
+            node = next((n for n in free if n.satisfies(job.requirements)),
+                        None)
             if node is None:
                 unmatched.append(job)
                 continue
+            free.remove(node)
             progressed = True
             node.current_job = job
             self.series.record("queue_size", self.queue_size)
@@ -270,13 +273,19 @@ class CondorScheduler:
         try:
             job.mark_transferring(node.name)
             yield self.env.timeout(job.input_mb / node.transfer_mb_per_s)
+            if node.current_job is not job:
+                return
             job.mark_running(self.env)
             self.trace.emit(self.name, "job.start", job=job.job_id,
                             node=node.name)
             yield self.env.timeout(job.duration_s)
             yield self.env.timeout(job.output_mb / node.transfer_mb_per_s)
         except Interrupt:
-            # node_failed() already requeued the job; just stop.
+            # node_failed() already requeued the job; just stop. A failure
+            # at the instant a wait ends resumes this process once before
+            # the interrupt lands, hence the ownership checks.
+            return
+        if node.current_job is not job:
             return
         job.mark_completed(self.env)
         node.jobs_completed += 1

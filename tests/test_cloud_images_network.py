@@ -1,6 +1,9 @@
 """Unit tests for the image repository and virtual networks."""
 
+import ipaddress
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud import (
     DiskImage,
@@ -112,6 +115,110 @@ def test_network_pool_exhaustion():
     net.allocate("vm1")
     with pytest.raises(NetworkError):
         net.allocate("vm2")
+
+
+def test_network_slash30_slash31_slash32_edges():
+    # /30: two hosts, .1 is the gateway, one address to lease.
+    net = VirtualNetwork("p2p", "10.0.0.0/30")
+    assert (net.gateway, net.capacity) == ("10.0.0.1", 1)
+    assert net.allocate("vm1") == "10.0.0.2"
+    with pytest.raises(NetworkError):
+        net.allocate("vm2")
+    net.release("10.0.0.2")
+    assert net.allocate("vm2") == "10.0.0.2"
+    # /31 (RFC 3021): both addresses are hosts; the first is the gateway.
+    net = VirtualNetwork("link", "10.0.0.0/31")
+    assert (net.gateway, net.capacity) == ("10.0.0.0", 1)
+    assert net.allocate("vm1") == "10.0.0.1"
+    with pytest.raises(NetworkError):
+        net.allocate("vm2")
+    # /32: the single address is the gateway; nothing to lease.
+    net = VirtualNetwork("host", "10.0.0.7/32")
+    assert (net.gateway, net.capacity) == ("10.0.0.7", 0)
+    with pytest.raises(NetworkError):
+        net.allocate("vm1")
+
+
+def test_network_ipv6_addresses_keep_their_family():
+    net = VirtualNetwork("v6", "::/125")
+    assert net.gateway == "::1"
+    assert [net.allocate("vm") for _ in range(2)] == ["::2", "::3"]
+    net.release("::2")
+    assert net.allocate("vm") == "::2"
+
+
+class SortedListPool:
+    """Reference address pool: a sorted list of strings, re-sorted by
+    address on every release (the allocator's original algorithm)."""
+
+    def __init__(self, cidr):
+        hosts = list(ipaddress.ip_network(cidr).hosts())
+        self.free = [str(h) for h in hosts[1:]]
+        self.leases = {}
+
+    def allocate(self, owner):
+        if not self.free:
+            return None
+        address = self.free.pop(0)
+        self.leases[address] = owner
+        return address
+
+    def release(self, address):
+        if self.leases.pop(address, None) is None:
+            return False
+        self.free.append(address)
+        self.free.sort(key=ipaddress.ip_address)
+        return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(cidr=st.sampled_from(["10.0.0.0/30", "10.0.0.0/31", "10.0.0.0/32",
+                             "192.168.1.0/29", "10.0.0.0/27", "::/125",
+                             "fd00::/123"]),
+       ops=st.lists(st.one_of(
+           st.tuples(st.just("allocate"), st.integers(0, 3)),
+           st.tuples(st.just("release"), st.integers(0, 63)),
+           st.tuples(st.just("release-any"), st.integers(0, 40)),
+       ), max_size=120))
+def test_network_pool_matches_sorted_list_reference(cidr, ops):
+    """Allocate/release interleavings, releases in any order: the same
+    addresses as the sorted-list reference, the same counters and owners,
+    and NetworkError on exhaustion and on releasing an unleased address
+    (a double release included)."""
+    net = VirtualNetwork("n", cidr)
+    ref = SortedListPool(cidr)
+    hosts = [str(h) for h in ipaddress.ip_network(cidr).hosts()]
+    capacity = max(len(hosts) - 1, 0)
+    released = []
+    for kind, arg in ops:
+        if kind == "allocate":
+            want = ref.allocate(f"vm{arg}")
+            if want is None:
+                with pytest.raises(NetworkError):
+                    net.allocate(f"vm{arg}")
+            else:
+                assert net.allocate(f"vm{arg}") == want
+        else:
+            if kind == "release":
+                leased = sorted(ref.leases)
+                if not leased:
+                    continue
+                address = leased[arg % len(leased)]
+            else:
+                # Any host address, or one released before: double release.
+                pool = hosts + released
+                address = pool[arg % len(pool)]
+            if ref.release(address):
+                net.release(address)
+                released.append(address)
+            else:
+                with pytest.raises(NetworkError):
+                    net.release(address)
+        assert net.capacity == capacity
+        assert net.allocated == len(ref.leases)
+        for address in hosts:
+            assert net.owner_of(address) == ref.leases.get(address)
+            assert (address in net) == (address in ref.leases)
 
 
 def test_network_release_unknown_raises():
